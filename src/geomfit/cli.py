@@ -23,10 +23,10 @@ from . import dataio
 from .cloud import PointCloud
 from .correlate import correlate
 from .diagnostics import orthogonality_report
-from .errors import DataError, DegenerateX, DegenerateY, GeomfitError, TooFewPoints
+from .errors import GeomfitError
 from .oracle import default_box, grid_search_fit
-from .regress import FitResult, fit
-from .svgplot import render_svg
+from .regress import fit
+from .svgplot import MIN_SIZE_PX, render_svg
 
 __all__ = ["Report", "build_report", "render_report", "run", "main"]
 
@@ -124,9 +124,28 @@ def render_report(report: Report, fmt: str = "text") -> str:
 
 def _column(value: str) -> int | str:
     try:
-        return int(value)
+        index = int(value)
     except ValueError:
         return value
+    if index < 0:
+        raise argparse.ArgumentTypeError(f"column index must be >= 0, got {index}")
+    return index
+
+
+def _delimiter(value: str) -> str:
+    if len(value) != 1:
+        raise argparse.ArgumentTypeError(f"must be a single character, got {value!r}")
+    return value
+
+
+def _pixels(value: str) -> int:
+    try:
+        size = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if size < MIN_SIZE_PX:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_SIZE_PX} px, got {size}")
+    return size
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,7 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="path to a delimited dataset")
         p.add_argument("--x-col", type=_column, default=0, help="x column index or header name")
         p.add_argument("--y-col", type=_column, default=1, help="y column index or header name")
-        p.add_argument("--delimiter", default=",", help="field delimiter (single character)")
+        p.add_argument(
+            "--delimiter", type=_delimiter, default=",", help="field delimiter (single character)"
+        )
 
     p_fit = sub.add_parser("fit", help="fit a dataset and print a report")
     add_io_options(p_fit)
@@ -155,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot", help="emit an SVG scatter plot with the fitted line")
     add_io_options(p_plot)
     p_plot.add_argument("--output", help="write the SVG here instead of stdout")
-    p_plot.add_argument("--width", type=int, default=640)
-    p_plot.add_argument("--height", type=int, default=480)
+    p_plot.add_argument("--width", type=_pixels, default=640)
+    p_plot.add_argument("--height", type=_pixels, default=480)
 
     p_verify = sub.add_parser("verify", help="cross-check the analytic fit against the search oracle")
     add_io_options(p_verify)
@@ -173,14 +194,9 @@ def _load_cloud(args: argparse.Namespace) -> PointCloud:
     return dataio.parse(spec, content)
 
 
-def _verify_fit(cloud: PointCloud, fit_result: FitResult) -> tuple[bool, float, float]:
-    box = default_box(fit_result.slope, fit_result.intercept)
-    oracle_a, oracle_b = grid_search_fit(cloud, box)
-    return (
-        abs(fit_result.slope - oracle_a) <= VERIFY_SLOPE_TOLERANCE,
-        oracle_a,
-        oracle_b,
-    )
+def _verify_fit(cloud: PointCloud, a: float, b: float) -> tuple[bool, float, float]:
+    oracle_a, oracle_b = grid_search_fit(cloud, default_box(a, b))
+    return abs(a - oracle_a) <= VERIFY_SLOPE_TOLERANCE, oracle_a, oracle_b
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -195,6 +211,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "x_col" in args and args.x_col == args.y_col:
+            parser.error("--x-col and --y-col must name different columns")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
@@ -204,7 +222,7 @@ def run(argv: list[str]) -> int:
             report = build_report(cloud)
             _emit(render_report(report, args.format), args.output)
             if args.verify:
-                ok, oracle_a, _ = _verify_fit(cloud, fit(cloud))
+                ok, oracle_a, _ = _verify_fit(cloud, report.a, report.b)
                 if not ok:
                     print(
                         f"verification failed: slope {report.a} vs oracle {oracle_a}",
@@ -222,7 +240,7 @@ def run(argv: list[str]) -> int:
         if args.command == "verify":
             cloud = _load_cloud(args)
             fit_result = fit(cloud)
-            ok, oracle_a, oracle_b = _verify_fit(cloud, fit_result)
+            ok, oracle_a, oracle_b = _verify_fit(cloud, fit_result.slope, fit_result.intercept)
             print(f"analytic: a = {fit_result.slope!r}, b = {fit_result.intercept!r}")
             print(f"search:   a = {oracle_a!r}, b = {oracle_b!r}")
             if not ok:
@@ -240,13 +258,7 @@ def run(argv: list[str]) -> int:
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (DataError, DegenerateX, DegenerateY, TooFewPoints) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except GeomfitError as exc:
+    except (GeomfitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

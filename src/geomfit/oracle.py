@@ -11,6 +11,15 @@ diagonal ellipses whenever the x column is far from zero-mean, and naive box
 refinement loses the minimizer; shifting the intercept axis to the line's
 height at mean(x) makes the axes independent so the grid converges.  The
 minimum is still located purely by evaluating the objective.
+
+Each refinement round evaluates its grid in float64 blocks: for one slope,
+the row ``y - a*(x - mean x)`` is formed once and all heights are
+subtracted from it as a (heights, points) block, squared and summed.  The
+block has a fixed element budget, so memory stays bounded whatever n is.
+Grid points whose block sums lie within the worst-case rounding bound of the
+smallest are re-ranked with exactly rounded ``fsum`` evaluations, so the
+chosen point is the one an all-``fsum`` scan would choose.  The
+parabola polish is evaluated with ``fsum`` on the raw data.
 """
 
 from __future__ import annotations
@@ -18,12 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 
+import numpy as np
+
 from .cloud import PointCloud
 from .errors import BoxTooSmall
 
 __all__ = ["SearchBox", "sse_of", "grid_search_fit", "gradient_check", "default_box"]
 
 _SHRINK = 0.25  # box half-width factor per refinement round
+_BLOCK_ELEMENTS = 65_536  # element budget of the grid's work buffer
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -77,11 +90,14 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
     """
     n = len(cloud)
     x_bar = fsum(cloud.xs) / n
-    pts = list(zip(cloud.xs, cloud.ys))
+    ys = np.array(cloud.ys, dtype=float)
+    dx = np.array(cloud.xs, dtype=float) - x_bar
 
     def objective(a: float, c: float) -> float:
-        # Line through (x_bar, c) with slope a, evaluated on raw data.
-        return fsum((y - a * (x - x_bar) - c) ** 2 for x, y in pts)
+        # Line through (x_bar, c) with slope a, evaluated on raw data.  The
+        # residuals are bit-identical to scalar arithmetic; the squares go
+        # through Python's ``**`` (libm pow), as a scalar evaluation does.
+        return fsum([r ** 2 for r in (ys - a * dx - c).tolist()])
 
     steps = box.grid_steps
     a_lo, a_hi = box.a_min, box.a_max
@@ -95,19 +111,46 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
     if c_hi == c_lo:
         c_lo, c_hi = c_lo - 1.0, c_hi + 1.0
 
+    chunk = min(n, max(1, _BLOCK_ELEMENTS // steps))
+    # A block sum passes each nonnegative term through at most `depth`
+    # roundings (chunk - 1 inside its chunk, one per chunk after), so in any
+    # summation order it is within a relative depth*u of the exact sum; a
+    # pow square is within a few u of the rounded product.  Two grid points
+    # whose block sums differ by more than this relative margin are
+    # therefore ordered the same way by exactly rounded evaluation.
+    depth = chunk - 1 + -(-n // chunk)
+    near = 4.0 * (depth + 3) * _UNIT_ROUNDOFF
+    block = np.empty((steps, chunk))
+    row = np.empty(chunk)
+    part = np.empty(steps)
+    sums = np.empty((steps, steps))  # [slope index, height index]
+
     best_a = best_c = None
     for _ in range(box.refinement_rounds):
         da = (a_hi - a_lo) / (steps - 1)
         dc = (c_hi - c_lo) / (steps - 1)
-        best = None
-        for ia in range(steps):
-            a = a_lo + ia * da
-            for ic in range(steps):
-                c = c_lo + ic * dc
-                s = objective(a, c)
-                if best is None or s < best[0]:
-                    best = (s, a, c)
-        _, best_a, best_c = best
+        a_grid = [a_lo + ia * da for ia in range(steps)]
+        c_grid = [c_lo + ic * dc for ic in range(steps)]
+        heights = np.array(c_grid)[:, None]
+        for ia, a in enumerate(a_grid):
+            total = sums[ia]
+            total.fill(0.0)
+            for lo in range(0, n, chunk):
+                hi = min(lo + chunk, n)
+                res, blk = row[: hi - lo], block[:, : hi - lo]
+                np.multiply(dx[lo:hi], a, out=res)
+                np.subtract(ys[lo:hi], res, out=res)
+                np.subtract(res, heights, out=blk)
+                np.square(blk, out=blk)
+                total += np.add.reduce(blk, axis=1, out=part)
+        # First minimum in slope-major, height-minor order: ties break
+        # toward the lowest slope, then the lowest height.
+        flat = sums.ravel()
+        k = int(np.argmin(flat))
+        candidates = np.flatnonzero(flat <= flat[k] * (1.0 + near)).tolist()
+        if len(candidates) > 1:
+            k = min(candidates, key=lambda j: objective(a_grid[j // steps], c_grid[j % steps]))
+        best_a, best_c = a_grid[k // steps], c_grid[k % steps]
         half_a = _SHRINK * (a_hi - a_lo) / 2
         half_c = _SHRINK * (c_hi - c_lo) / 2
         a_lo, a_hi = best_a - half_a, best_a + half_a

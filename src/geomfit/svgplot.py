@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from .cloud import PointCloud
 from .regress import FitResult, predict
 
-__all__ = ["PlotFrame", "plot_frame", "render_svg"]
+__all__ = ["MIN_SIZE_PX", "PlotFrame", "plot_frame", "render_svg"]
+
+MIN_SIZE_PX = 100  # smallest accepted width and height
 
 _MARGIN_LEFT = 55.0
 _MARGIN_RIGHT = 15.0
@@ -78,8 +80,8 @@ def _label(v: float) -> str:
 
 def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480) -> str:
     """SVG document: one circle per point, the fitted line, min/max axis ticks."""
-    if width < 100 or height < 100:
-        raise ValueError("width and height must be at least 100 px")
+    if width < MIN_SIZE_PX or height < MIN_SIZE_PX:
+        raise ValueError(f"width and height must be at least {MIN_SIZE_PX} px")
     frame = plot_frame(cloud, fit_result, float(width), float(height))
 
     parts = [

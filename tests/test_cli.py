@@ -152,10 +152,33 @@ class TestPlotCommand:
         assert 'width="300"' in out.read_text(encoding="utf-8")
 
 
+# ``verify`` stdout on the demo datasets, frozen from the all-fsum scalar
+# search; the block-evaluated search must reproduce it byte for byte.
+VERIFY_STDOUT = {
+    "example1_amarante.csv": (
+        "analytic: a = -9.706900304280841, b = 226.4556658970737\n"
+        "search:   a = -9.706900304281385, b = 226.45566589708275\n"
+        "verification passed\n"
+    ),
+    "example2_infections.csv": (
+        "analytic: a = 227.80869565217392, b = 11765.60072463768\n"
+        "search:   a = 227.80869565217392, b = 11765.60072463768\n"
+        "verification passed\n"
+    ),
+}
+
+
 class TestVerifyCommand:
     def test_passes_on_example1(self, ex1_csv, capsys):
         assert run(["verify", "--input", str(ex1_csv)]) == EXIT_OK
         assert "verification passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_STDOUT))
+    def test_golden_stdout(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(example_csv_text(name), encoding="utf-8")
+        assert run(["verify", "--input", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == VERIFY_STDOUT[name]
 
 
 class TestExamplesCommand:
@@ -180,3 +203,22 @@ class TestUsageErrors:
 
     def test_bad_format_value(self, ex1_csv, capsys):
         assert run(["fit", "--input", str(ex1_csv), "--format", "xml"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plot", "--width", "50"],
+            ["plot", "--height", "99"],
+            ["fit", "--delimiter", ""],
+            ["fit", "--delimiter", ";;"],
+            ["fit", "--x-col", "0", "--y-col", "0"],
+            ["fit", "--x-col", "-1"],
+        ],
+        ids=["width", "height", "empty-delimiter", "long-delimiter", "same-column", "negative-column"],
+    )
+    def test_rejected_option_values(self, ex1_csv, capsys, argv):
+        assert run(argv + ["--input", str(ex1_csv)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("geomfit")

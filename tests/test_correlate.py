@@ -53,7 +53,7 @@ class TestRCosine:
         assert r_cosine(center(ex1_cloud)) == pytest.approx(EX1["r"], abs=1e-3)
 
     def test_example2(self, ex2_cloud):
-        assert r_cosine(center(ex2_cloud)) == pytest.approx(EX2["r"], abs=1e-3)
+        assert r_cosine(center(ex2_cloud)) == pytest.approx(EX2["r"], abs=1e-8)
 
     def test_exact_positive_line(self):
         cloud = PointCloud.from_columns([0, 1, 2], [1, 3, 5])
@@ -73,7 +73,7 @@ class TestRTextbook:
         )
 
     def test_example2(self, ex2_cloud):
-        assert r_textbook(ex2_cloud) == pytest.approx(EX2["r"], abs=1e-3)
+        assert r_textbook(ex2_cloud) == pytest.approx(EX2["r"], abs=1e-8)
 
     def test_two_point_diagonal(self):
         assert r_textbook(PointCloud.from_columns([0, 1], [0, 1])) == 1.0

@@ -1,10 +1,21 @@
 import random
+from math import fsum
 
 import pytest
 
+import geomfit.oracle as oracle
 from geomfit.cloud import PointCloud
+from geomfit.dataio import load_example
 from geomfit.errors import BoxTooSmall
-from geomfit.oracle import SearchBox, default_box, gradient_check, grid_search_fit, sse_of
+from geomfit.oracle import (
+    _SHRINK,
+    SearchBox,
+    _parabola_vertex,
+    default_box,
+    gradient_check,
+    grid_search_fit,
+    sse_of,
+)
 from geomfit.regress import fit
 from geomfit.vectors import dot, sub
 
@@ -128,3 +139,168 @@ class TestConvexity:
                 t = 0.1 * k
                 assert sse_of(cloud, f.slope + t * va, f.intercept + t * vb) >= base
                 assert sse_of(cloud, f.slope - t * va, f.intercept - t * vb) >= base
+
+
+# --- Regression against the all-fsum scalar search --------------------------
+#
+# ``_reference_grid_search`` is the scalar ``grid_search_fit`` that evaluated
+# every grid point with a Python ``fsum`` generator.  The block-evaluated
+# search must return the identical (a, b) tuple, or raise ``BoxTooSmall`` in
+# exactly the same cases.
+
+
+def _reference_grid_search(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
+    n = len(cloud)
+    x_bar = fsum(cloud.xs) / n
+    pts = list(zip(cloud.xs, cloud.ys))
+
+    def objective(a: float, c: float) -> float:
+        return fsum((y - a * (x - x_bar) - c) ** 2 for x, y in pts)
+
+    steps = box.grid_steps
+    a_lo, a_hi = box.a_min, box.a_max
+    corners = [
+        b + a * x_bar
+        for a in (box.a_min, box.a_max)
+        for b in (box.b_min, box.b_max)
+    ]
+    c_lo, c_hi = min(corners), max(corners)
+    if c_hi == c_lo:
+        c_lo, c_hi = c_lo - 1.0, c_hi + 1.0
+
+    best_a = best_c = None
+    for _ in range(box.refinement_rounds):
+        da = (a_hi - a_lo) / (steps - 1)
+        dc = (c_hi - c_lo) / (steps - 1)
+        best = None
+        for ia in range(steps):
+            a = a_lo + ia * da
+            for ic in range(steps):
+                c = c_lo + ic * dc
+                s = objective(a, c)
+                if best is None or s < best[0]:
+                    best = (s, a, c)
+        _, best_a, best_c = best
+        half_a = _SHRINK * (a_hi - a_lo) / 2
+        half_c = _SHRINK * (c_hi - c_lo) / 2
+        a_lo, a_hi = best_a - half_a, best_a + half_a
+        c_lo, c_hi = best_c - half_c, best_c + half_c
+
+    for _ in range(2):
+        h_a = max((a_hi - a_lo), 1e-4 * (1.0 + abs(best_a)))
+        best_a = _parabola_vertex(lambda a: objective(a, best_c), best_a, h_a)
+        h_c = max((c_hi - c_lo), 1e-4 * (1.0 + abs(best_c)))
+        best_c = _parabola_vertex(lambda c: objective(best_a, c), best_c, h_c)
+
+    best_b = best_c - best_a * x_bar
+    margin_a = (box.a_max - box.a_min) / (steps - 1)
+    margin_b = (box.b_max - box.b_min) / (steps - 1)
+    if not (box.a_min + margin_a <= best_a <= box.a_max - margin_a):
+        raise BoxTooSmall(f"minimum at a={best_a} is outside or hugging the slope bounds")
+    if not (box.b_min + margin_b <= best_b <= box.b_max - margin_b):
+        raise BoxTooSmall(f"minimum at b={best_b} is outside or hugging the intercept bounds")
+    return best_a, best_b
+
+
+def _outcome(search, cloud: PointCloud, box: SearchBox):
+    try:
+        return search(cloud, box)
+    except BoxTooSmall:
+        return BoxTooSmall
+
+
+def _shifted_box(a: float, b: float) -> SearchBox:
+    """Default box slid by most of its width, so the optimum sits near or
+    past an edge and the search often reports ``BoxTooSmall``."""
+    box = default_box(a, b)
+    da = 0.45 * (box.a_max - box.a_min)
+    db = 0.45 * (box.b_max - box.b_min)
+    return SearchBox(box.a_min + da, box.a_max + da, box.b_min - db, box.b_max - db)
+
+
+def _corpus_cloud(rng: random.Random, n: int) -> PointCloud:
+    """x spread over [0, w) at an offset up to 1e6, y on a line plus noise."""
+    offset = rng.choice([0.0, rng.uniform(-1e3, 1e3), rng.uniform(-1e6, 1e6)])
+    width = rng.choice([1.0, 10.0, 100.0])
+    slope = rng.uniform(-10.0, 10.0)
+    noise = rng.choice([0.01, 1.0, 10.0])
+    while True:
+        xs = [offset + rng.uniform(0.0, width) for _ in range(n)]
+        if max(xs) - min(xs) >= 0.25 * width:
+            break
+    ys = [slope * (x - offset) + rng.uniform(-50.0, 50.0) + rng.gauss(0.0, noise) for x in xs]
+    return PointCloud.from_columns(xs, ys)
+
+
+# (n, clouds): 200 clouds in all; the reference costs about 1 ms per point.
+_CORPUS_SIZES = ((3, 100), (10, 80), (200, 18), (2000, 2))
+_BOXES = (skewed_box, default_box, _shifted_box)
+
+
+def _corpus():
+    rng = random.Random(404)
+    k = 0
+    for n, count in _CORPUS_SIZES:
+        for _ in range(count):
+            cloud = _corpus_cloud(rng, n)
+            f = fit(cloud)
+            yield cloud, _BOXES[k % len(_BOXES)](f.slope, f.intercept)
+            k += 1
+
+
+class TestMatchesScalarReference:
+    @pytest.mark.parametrize("name", ["example1_amarante.csv", "example2_infections.csv"])
+    def test_demo_datasets(self, name):
+        cloud = load_example(name)
+        f = fit(cloud)
+        for make_box in _BOXES:
+            box = make_box(f.slope, f.intercept)
+            assert _outcome(grid_search_fit, cloud, box) == _outcome(
+                _reference_grid_search, cloud, box
+            )
+
+    def test_seeded_corpus(self):
+        outcomes = set()
+        for cloud, box in _corpus():
+            got = _outcome(grid_search_fit, cloud, box)
+            assert got == _outcome(_reference_grid_search, cloud, box), (len(cloud), box)
+            outcomes.add(got is BoxTooSmall)
+        # the corpus exercises both the passing and the BoxTooSmall branch
+        assert outcomes == {False, True}
+
+    def test_chunked_path(self):
+        # more points than one block of grid_steps rows holds, so the sums
+        # are accumulated over several chunks of the cloud
+        rng = random.Random(405)
+        n = oracle._BLOCK_ELEMENTS // 21 + 80
+        cloud = _corpus_cloud(rng, n)
+        f = fit(cloud)
+        box = skewed_box(f.slope, f.intercept)
+        assert grid_search_fit(cloud, box) == _reference_grid_search(cloud, box)
+
+    def test_small_blocks(self, monkeypatch):
+        # a tiny block budget forces many chunks (and a ragged last one) on
+        # small clouds
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 21 * 7)
+        rng = random.Random(406)
+        for n in (3, 7, 8, 50):
+            cloud = _corpus_cloud(rng, n)
+            f = fit(cloud)
+            box = skewed_box(f.slope, f.intercept)
+            assert grid_search_fit(cloud, box) == _reference_grid_search(cloud, box)
+
+    @pytest.mark.parametrize(
+        "xs, ys, rounds",
+        [
+            ([4, 1, 3, -3, 1, -5, 1, -3, -1, 1, 2, -3], [5, 5, 4, -4, 3, 2, 3, -1, -1, 0, 4, 0], 8),
+            ([-4, 1, 3, -1, -3, -4, 3, 3, 5, -1, -3, 1], [-3, -2, -1, 2, -1, 5, 2, 3, 5, 0, 5, 3], 2),
+            ([-2, -3, 5, 1, -4, 0, 5, 0, -4, 1, -3, 5], [4, 4, 2, 5, 1, 3, 2, 5, -4, -3, 0, 0], 2),
+        ],
+    )
+    def test_exact_ties_on_integer_data(self, xs, ys, rounds):
+        # On integer data and a grid of round numbers some grid points tie
+        # exactly under fsum while their block sums differ in the last bit;
+        # the first block minimum alone would pick another point.
+        cloud = PointCloud.from_columns(xs, ys)
+        box = SearchBox(-4.0, 4.0, -6.0, 6.0, refinement_rounds=rounds)
+        assert grid_search_fit(cloud, box) == _reference_grid_search(cloud, box)
