@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     GeomfitError,
+    ObjectiveOverflow,
     ParseError,
     RaggedRow,
     TooFewPoints,
@@ -51,6 +52,6 @@ __all__ = [
     "render_svg",
     "GeomfitError", "DimensionMismatch", "TooFewPoints", "DegenerateX",
     "DegenerateY", "DataError", "ParseError", "EmptyDataset", "ColumnNotFound",
-    "RaggedRow", "BoxTooSmall",
+    "RaggedRow", "BoxTooSmall", "ObjectiveOverflow",
     "__version__",
 ]

@@ -7,8 +7,9 @@ Subcommands:
 * ``verify``   -- cross-check the analytic fit against the brute-force search
 * ``examples`` -- write the two bundled demo datasets to disk
 
-Exit codes: 0 success, 2 usage error, 3 data error (parse failure or a
-degenerate cloud), 4 verification failure.
+Exit codes: 0 success, 2 usage error, 3 data error (parse failure, a
+degenerate cloud, or data whose squared deviations overflow the ``verify``
+search), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cloud(args: argparse.Namespace) -> PointCloud:
-    content = Path(args.input).read_text(encoding="utf-8")
+    content = Path(args.input).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     spec = dataio.DatasetSpec(delimiter=args.delimiter, x_col=args.x_col, y_col=args.y_col)
     return dataio.parse(spec, content)
 

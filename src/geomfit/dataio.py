@@ -5,12 +5,21 @@ Dialect: UTF-8, LF or CRLF line endings, single-character delimiter
 Only '.' is accepted as the decimal separator; scientific notation is fine.
 The two demo datasets (monthly temperature vs rainfall, and a 24-day
 infection count series) ship as package data.
+
+The input is read in one pass.  Header detection looks only at the first
+data row, and a data row converts only its two selected fields.  A field
+that ``float`` refuses as it stands, or that is not finite, is stripped and
+converted again, so every field is accepted or rejected as its stripped
+text is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
+from typing import Iterator
 
 from .cloud import PointCloud
 from .errors import ColumnNotFound, EmptyDataset, ParseError, RaggedRow
@@ -59,24 +68,24 @@ def _try_float(field: str) -> float | None:
     return v
 
 
-def _rows(content: str, delimiter: str) -> list[tuple[int, list[str]]]:
-    """Split into (1-based line number, trimmed fields), skipping blanks and comments."""
-    out = []
+def _data_lines(content: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) for each line that is neither blank nor a comment."""
     for lineno, raw in enumerate(content.split("\n"), start=1):
         line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        out.append((lineno, [f.strip() for f in line.split(delimiter)]))
-    return out
+        head = line.lstrip()
+        if head and head[0] != "#":
+            yield lineno, line
+
+
+def _is_header(line: str, delimiter: str) -> bool:
+    return any(_try_float(f.strip()) is None for f in line.split(delimiter))
 
 
 def auto_detect_header(content: str, delimiter: str = ",") -> bool:
     """True iff the first row contains any field that fails numeric parsing."""
-    rows = _rows(content, delimiter)
-    if not rows:
-        raise EmptyDataset("no rows in input")
-    _, fields = rows[0]
-    return any(_try_float(f) is None for f in fields)
+    for _, line in _data_lines(content):
+        return _is_header(line, delimiter)
+    raise EmptyDataset("no rows in input")
 
 
 def _resolve_column(col: int | str, header: list[str] | None, lineno: int) -> int:
@@ -94,21 +103,25 @@ def _resolve_column(col: int | str, header: list[str] | None, lineno: int) -> in
 
 def parse(spec: DatasetSpec, content: str) -> PointCloud:
     """Parse delimited text into a point cloud, one point per data row."""
-    if not content.strip():
+    if not content or content.isspace():
         raise EmptyDataset("input is empty")
-    rows = _rows(content, spec.delimiter)
-    if not rows:
+    delimiter = spec.delimiter
+    lines = _data_lines(content)
+    first = next(lines, None)
+    if first is None:
         raise EmptyDataset("no data rows in input")
 
+    header_line, first_line = first
     has_header = spec.has_header
     if has_header is None:
-        has_header = auto_detect_header(content, spec.delimiter)
-    header = rows[0][1] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
-        raise EmptyDataset("no data rows after the header")
+        has_header = _is_header(first_line, delimiter)
+    header = None
+    if has_header:
+        header = [f.strip() for f in first_line.split(delimiter)]
+        first = next(lines, None)
+        if first is None:
+            raise EmptyDataset("no data rows after the header")
 
-    header_line = rows[0][0]
     ix = _resolve_column(spec.x_col, header, header_line)
     iy = _resolve_column(spec.y_col, header, header_line)
     if ix == iy:
@@ -117,20 +130,28 @@ def parse(spec: DatasetSpec, content: str) -> PointCloud:
     needed = max(ix, iy) + 1
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, fields in data_rows:
+    for lineno, line in chain((first,), lines):
+        fields = line.split(delimiter)
         if len(fields) < needed:
             raise RaggedRow(lineno, len(fields), needed)
-        row_vals = []
-        for col_index in (ix, iy):
-            v = _try_float(fields[col_index])
-            if v is None:
-                raise ParseError(
-                    lineno, col_index + 1, f"not a finite number: {fields[col_index]!r}"
-                )
-            row_vals.append(v)
-        xs.append(row_vals[0])
-        ys.append(row_vals[1])
+        try:
+            x = float(fields[ix])
+            y = float(fields[iy])
+        except ValueError:
+            x = y = math.nan
+        if x - x or y - y:  # nan for a nan or an inf, and for a refused field
+            x, y = (_stripped_value(fields, col, lineno) for col in (ix, iy))
+        xs.append(x)
+        ys.append(y)
     return PointCloud(Vector(xs), Vector(ys))
+
+
+def _stripped_value(fields: list[str], col_index: int, lineno: int) -> float:
+    field = fields[col_index].strip()
+    v = _try_float(field)
+    if v is None:
+        raise ParseError(lineno, col_index + 1, f"not a finite number: {field!r}")
+    return v
 
 
 def example_csv_text(name: str) -> str:

@@ -66,3 +66,7 @@ class RaggedRow(DataError):
 
 class BoxTooSmall(GeomfitError):
     """The brute-force search box provably excludes the optimum."""
+
+
+class ObjectiveOverflow(GeomfitError):
+    """The brute-force objective overflows float64, so the search cannot rank its grid."""

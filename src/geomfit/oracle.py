@@ -19,18 +19,19 @@ block has a fixed element budget, so memory stays bounded whatever n is.
 Grid points whose block sums lie within the worst-case rounding bound of the
 smallest are re-ranked with exactly rounded ``fsum`` evaluations, so the
 chosen point is the one an all-``fsum`` scan would choose.  The
-parabola polish is evaluated with ``fsum`` on the raw data.
+parabola polish is evaluated with ``fsum`` on the raw data.  Data whose
+squared deviations overflow float64 raise :class:`ObjectiveOverflow`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf, isfinite
 
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import BoxTooSmall
+from .errors import BoxTooSmall, ObjectiveOverflow
 
 __all__ = ["SearchBox", "sse_of", "grid_search_fit", "gradient_check", "default_box"]
 
@@ -80,13 +81,23 @@ def _parabola_vertex(f, x0: float, h: float) -> float:
     return x0 + 0.5 * h * (s_minus - s_plus) / denom
 
 
+def _finite(value: float) -> float:
+    if not isfinite(value):
+        raise ObjectiveOverflow(
+            "the squared deviations overflow float64, so the search cannot compare lines"
+        )
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported by _finite
 def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
     """Minimize the squared-deviation objective by iterated grid refinement.
 
     Ties break toward the lowest slope, then the lowest height, so the result
     is deterministic.  Raises :class:`BoxTooSmall` when the located minimum
     lands outside the box (or hugs its boundary), which means the box did not
-    contain the optimum.
+    contain the optimum, and :class:`ObjectiveOverflow` when the objective at
+    the best grid point or at a polish point is not finite.
     """
     n = len(cloud)
     x_bar = fsum(cloud.xs) / n
@@ -97,7 +108,11 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
         # Line through (x_bar, c) with slope a, evaluated on raw data.  The
         # residuals are bit-identical to scalar arithmetic; the squares go
         # through Python's ``**`` (libm pow), as a scalar evaluation does.
-        return fsum([r ** 2 for r in (ys - a * dx - c).tolist()])
+        try:
+            value = fsum([r ** 2 for r in (ys - a * dx - c).tolist()])
+        except OverflowError:
+            value = inf
+        return _finite(value)
 
     steps = box.grid_steps
     a_lo, a_hi = box.a_min, box.a_max
@@ -146,7 +161,8 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
         # First minimum in slope-major, height-minor order: ties break
         # toward the lowest slope, then the lowest height.
         flat = sums.ravel()
-        k = int(np.argmin(flat))
+        k = int(np.argmin(flat))  # a nan sum is the minimum, and raises
+        _finite(float(flat[k]))
         candidates = np.flatnonzero(flat <= flat[k] * (1.0 + near)).tolist()
         if len(candidates) > 1:
             k = min(candidates, key=lambda j: objective(a_grid[j // steps], c_grid[j % steps]))

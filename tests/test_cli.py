@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -81,6 +82,18 @@ class TestFitCommand:
         )
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["n"] == 12
+
+    def test_bom_before_numeric_first_row_keeps_the_row(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff1,2\n2,4.1\n3,5.9\n4,8.2\n".encode("utf-8"))
+        assert run(["fit", "--input", str(path), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n"] == 4
+
+    def test_bom_before_header_keeps_column_names(self, tmp_path, capsys):
+        path = tmp_path / "bom_header.csv"
+        path.write_bytes("\ufeffx,y\n1,2\n2,4.1\n3,5.9\n".encode("utf-8"))
+        assert run(["fit", "--input", str(path), "--x-col", "x", "--y-col", "y"]) == EXIT_OK
+        assert "n:          3" in capsys.readouterr().out
 
     def test_json_key_order_fixed(self, ex1_csv, capsys):
         run(["fit", "--input", str(ex1_csv), "--format", "json"])
@@ -179,6 +192,25 @@ class TestVerifyCommand:
         path.write_text(example_csv_text(name), encoding="utf-8")
         assert run(["verify", "--input", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == VERIFY_STDOUT[name]
+
+
+    # At 1e160 every grid point overflows; at 1e150 the grid does not, but
+    # the parabola polish does.
+    @pytest.mark.parametrize("exponent", ["160", "150"])
+    def test_overflowing_objective_is_a_data_error(self, tmp_path, capsys, exponent):
+        path = tmp_path / "huge_y.csv"
+        rows = "".join(f"{x},{y}e{exponent}\n" for x, y in [(1, 1), (2, 2), (3, 3.5), (4, 3.9)])
+        path.write_text("x,y\n" + rows, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            assert run(["verify", "--input", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "overflow" in captured.err
+        # fit does not run the search and still reports the data
+        assert run(["fit", "--input", str(path), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n"] == 4
 
 
 class TestExamplesCommand:

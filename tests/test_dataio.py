@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geomfit.cloud import PointCloud
 from geomfit.dataio import (
     DatasetSpec,
     auto_detect_header,
@@ -10,6 +11,7 @@ from geomfit.dataio import (
     parse,
 )
 from geomfit.errors import ColumnNotFound, EmptyDataset, ParseError, RaggedRow
+from geomfit.vectors import Vector
 
 
 class TestAutoDetectHeader:
@@ -137,3 +139,196 @@ class TestRoundTrip:
         cloud = parse(DatasetSpec(), text)
         assert cloud.xs.components == tuple(p[0] for p in pairs)
         assert cloud.ys.components == tuple(p[1] for p in pairs)
+
+
+# --- Reference parser -------------------------------------------------------
+# A verbatim copy of the two-pass parser that built a list of stripped fields
+# for every row and re-read the whole input to detect the header.  The
+# single-pass parser must accept and reject exactly the same inputs, with the
+# same values, messages, lines and columns.
+
+
+def _reference_try_float(field: str) -> float | None:
+    try:
+        v = float(field)
+    except ValueError:
+        return None
+    # Reject nan/inf spellings; clouds require finite data.
+    if v != v or v in (float("inf"), float("-inf")):
+        return None
+    return v
+
+
+def _reference_rows(content: str, delimiter: str) -> list[tuple[int, list[str]]]:
+    """Split into (1-based line number, trimmed fields), skipping blanks and comments."""
+    out = []
+    for lineno, raw in enumerate(content.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        out.append((lineno, [f.strip() for f in line.split(delimiter)]))
+    return out
+
+
+def _reference_auto_detect_header(content: str, delimiter: str = ",") -> bool:
+    """True iff the first row contains any field that fails numeric parsing."""
+    rows = _reference_rows(content, delimiter)
+    if not rows:
+        raise EmptyDataset("no rows in input")
+    _, fields = rows[0]
+    return any(_reference_try_float(f) is None for f in fields)
+
+
+def _reference_resolve_column(col: int | str, header: list[str] | None, lineno: int) -> int:
+    if isinstance(col, int):
+        return col
+    if header is None:
+        raise ColumnNotFound(f"column {col!r} requested by name but the input has no header")
+    try:
+        return header.index(col)
+    except ValueError:
+        raise ColumnNotFound(
+            f"column {col!r} not found in header {header!r} (line {lineno})"
+        ) from None
+
+
+def _reference_parse(spec: DatasetSpec, content: str) -> PointCloud:
+    """Parse delimited text into a point cloud, one point per data row."""
+    if not content.strip():
+        raise EmptyDataset("input is empty")
+    rows = _reference_rows(content, spec.delimiter)
+    if not rows:
+        raise EmptyDataset("no data rows in input")
+
+    has_header = spec.has_header
+    if has_header is None:
+        has_header = _reference_auto_detect_header(content, spec.delimiter)
+    header = rows[0][1] if has_header else None
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise EmptyDataset("no data rows after the header")
+
+    header_line = rows[0][0]
+    ix = _reference_resolve_column(spec.x_col, header, header_line)
+    iy = _reference_resolve_column(spec.y_col, header, header_line)
+    if ix == iy:
+        raise ColumnNotFound("x and y resolve to the same column")
+
+    needed = max(ix, iy) + 1
+    xs: list[float] = []
+    ys: list[float] = []
+    for lineno, fields in data_rows:
+        if len(fields) < needed:
+            raise RaggedRow(lineno, len(fields), needed)
+        row_vals = []
+        for col_index in (ix, iy):
+            v = _reference_try_float(fields[col_index])
+            if v is None:
+                raise ParseError(
+                    lineno, col_index + 1, f"not a finite number: {fields[col_index]!r}"
+                )
+            row_vals.append(v)
+        xs.append(row_vals[0])
+        ys.append(row_vals[1])
+    return PointCloud(Vector(xs), Vector(ys))
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type, message and location of what it raises."""
+    try:
+        result = fn(*args)
+    except (ColumnNotFound, EmptyDataset, ParseError, RaggedRow) as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    if isinstance(result, PointCloud):
+        return ("cloud", tuple(map(float.hex, result.xs)), tuple(map(float.hex, result.ys)))
+    return ("value", result)
+
+
+# Field text: numbers, every non-finite and odd spelling float() knows or
+# refuses, header names and empties; padded with characters that str.strip()
+# removes but float() does not (\x1c-\x1f) or that both remove.
+_TOKENS = [
+    "1", "-2.5", "3e2", "0", "-0", ".5", "7.", "1.5e-3", "nan", "NaN", "-nan", "inf",
+    "-inf", "Infinity", "1e400", "-1e400", "1_0", "0x10", "\u0663", "\u0661\u0662",
+    "", "x", "y", "a", "abc", "n/a", "#", "1#", "1 2", "--1",
+]
+_NUMBERS = ["1", "-2.5", "3e2", "0", "-0", ".5", "7.", "1.5e-3", "1_0", "\u0663", "\u0661\u0662"]
+_PADDING = ["", " ", "  ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\u3000", "\xa0", "\r"]
+_NAMES = ["x", "y", "a", "abc", "nope", ""]  # the last two are in no header
+
+
+def _padded(tokens):
+    pads = st.sampled_from([""] * len(_PADDING) + _PADDING)
+    return st.builds(lambda left, token, right: left + token + right,
+                     pads, st.sampled_from(tokens), pads)
+
+
+# Mostly numbers, so that many documents parse; any token often enough that
+# every rejection is reached.
+_field = _padded(_NUMBERS * 10 + _TOKENS)
+_skipped_line = st.sampled_from(["", " ", "\t", "\r", "\x1c", "#", "# note", "  # indented", "\t#x,y"])
+
+
+@st.composite
+def _documents(draw):
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", "\r"]))
+    width = draw(st.sampled_from([1, 2, 2, 3, 4]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(delimiter.join(draw(_padded(_NAMES[:4])) for _ in range(width)))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(_skipped_line))
+        else:
+            n_fields = width if kind > 1 else draw(st.sampled_from([1, width + 1]))
+            lines.append(delimiter.join(draw(_field) for _ in range(n_fields)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    content = ending.join(lines) + draw(st.sampled_from(["", ending]))
+    return delimiter, content
+
+
+@st.composite
+def _specs(draw, delimiter):
+    columns = st.sampled_from([0, 1] * 12 + [2, 3, 4] + _NAMES)
+    x_col = draw(columns)
+    y_col = draw(columns.filter(lambda c: c != x_col))
+    has_header = draw(st.sampled_from([None, True, False]))
+    return DatasetSpec(delimiter=delimiter, has_header=has_header, x_col=x_col, y_col=y_col)
+
+
+class TestMatchesReferenceParser:
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_parse(self, data):
+        delimiter, content = data.draw(_documents())
+        spec = data.draw(_specs(delimiter))
+        assert _outcome(parse, spec, content) == _outcome(_reference_parse, spec, content)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents())
+    def test_auto_detect_header(self, document):
+        delimiter, content = document
+        assert _outcome(auto_detect_header, content, delimiter) == _outcome(
+            _reference_auto_detect_header, content, delimiter
+        )
+
+    def test_bad_value_reported_before_later_ragged_row(self):
+        content = "x,y\n1,2\nnan,3\n4,5\n6\n"
+        with pytest.raises(ParseError) as exc_info:
+            parse(DatasetSpec(), content)
+        assert (exc_info.value.line, exc_info.value.column) == (3, 1)
+        assert _outcome(parse, DatasetSpec(), content) == _outcome(
+            _reference_parse, DatasetSpec(), content
+        )
+
+    def test_separator_control_characters_are_stripped(self):
+        # float() refuses "\x1c2", but a field is read as its stripped text
+        # and str.strip() removes \x1c, so the field is 2.0.
+        content = "1,\x1c2\n3,4\x1f\n"
+        cloud = parse(DatasetSpec(has_header=False), content)
+        assert cloud.ys.components == (2.0, 4.0)
+        assert _outcome(parse, DatasetSpec(), content) == _outcome(
+            _reference_parse, DatasetSpec(), content
+        )
