@@ -9,36 +9,29 @@ the two vectors.
 
 from .cloud import CenteredCloud, PointCloud, center, centroid
 from .correlate import (
-    CorrelationClass,
-    CorrelationResult,
-    classify,
-    correlate,
-    r_cosine,
-    r_textbook,
-    theta,
+    CorrelationClass, CorrelationResult, classify, correlate, r_cosine, r_textbook, theta,
 )
 from .diagnostics import DiagnosticsReport, orthogonality_report, residuals, sse
 from .errors import (
-    BoxTooSmall,
-    ColumnNotFound,
-    DataError,
-    DegenerateX,
-    DegenerateY,
-    DimensionMismatch,
-    EmptyDataset,
-    GeomfitError,
-    ObjectiveOverflow,
-    ParseError,
-    RaggedRow,
-    TooFewPoints,
+    BoxTooSmall, ColumnNotFound, DataError, DegenerateX, DegenerateY, DimensionMismatch,
+    EmptyDataset, GeomfitError, ObjectiveOverflow, ParseError, RaggedRow, TooFewPoints,
 )
-from .estimator import GeometricLinearRegression
 from .oracle import SearchBox, default_box, gradient_check, grid_search_fit, sse_of
 from .regress import FitResult, fit, fit_slope_centered, predict
 from .svgplot import render_svg
 from .vectors import Vector, dot, norm, norm_sq, ones, scale, sub
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The estimator needs numpy: import it on first use (PEP 562), so that
+    # `geomfit fit` and `geomfit plot` never load numpy.
+    if name == "GeometricLinearRegression":
+        from .estimator import GeometricLinearRegression
+        return GeometricLinearRegression
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Vector", "dot", "norm", "norm_sq", "ones", "scale", "sub",

@@ -8,8 +8,8 @@ Subcommands:
 * ``examples`` -- write the two bundled demo datasets to disk
 
 Exit codes: 0 success, 2 usage error, 3 data error (parse failure, a
-degenerate cloud, or data whose squared deviations overflow the ``verify``
-search), 4 verification failure.
+degenerate cloud, or data whose sums overflow float64 in the fit or the
+``verify`` search), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -168,11 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io_options(p_fit)
     p_fit.add_argument("--format", choices=("text", "json"), default="text")
     p_fit.add_argument("--output", help="write the report here instead of stdout")
-    p_fit.add_argument(
-        "--verify",
-        action="store_true",
-        help="also cross-check the slope against the brute-force search",
-    )
+    p_fit.add_argument("--verify", action="store_true",
+                       help="also cross-check the slope against the brute-force search")
 
     p_plot = sub.add_parser("plot", help="emit an SVG scatter plot with the fitted line")
     add_io_options(p_plot)
@@ -218,28 +215,31 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
+        if args.command == "examples":
+            out_dir = Path(args.output)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name in dataio.EXAMPLE_DATASETS:
+                (out_dir / name).write_text(dataio.example_csv_text(name), encoding="utf-8")
+                print(f"wrote {out_dir / name}")
+            return EXIT_OK
+
+        cloud = _load_cloud(args)
         if args.command == "fit":
-            cloud = _load_cloud(args)
             report = build_report(cloud)
             _emit(render_report(report, args.format), args.output)
             if args.verify:
                 ok, oracle_a, _ = _verify_fit(cloud, report.a, report.b)
                 if not ok:
-                    print(
-                        f"verification failed: slope {report.a} vs oracle {oracle_a}",
-                        file=sys.stderr,
-                    )
+                    print(f"verification failed: slope {report.a} vs oracle {oracle_a}",
+                          file=sys.stderr)
                     return EXIT_VERIFY
             return EXIT_OK
 
         if args.command == "plot":
-            cloud = _load_cloud(args)
-            fit_result = fit(cloud)
-            _emit(render_svg(cloud, fit_result, args.width, args.height), args.output)
+            _emit(render_svg(cloud, fit(cloud), args.width, args.height), args.output)
             return EXIT_OK
 
         if args.command == "verify":
-            cloud = _load_cloud(args)
             fit_result = fit(cloud)
             ok, oracle_a, oracle_b = _verify_fit(cloud, fit_result.slope, fit_result.intercept)
             print(f"analytic: a = {fit_result.slope!r}, b = {fit_result.intercept!r}")
@@ -248,14 +248,6 @@ def run(argv: list[str]) -> int:
                 print("verification failed", file=sys.stderr)
                 return EXIT_VERIFY
             print("verification passed")
-            return EXIT_OK
-
-        if args.command == "examples":
-            out_dir = Path(args.output)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for name in dataio.EXAMPLE_DATASETS:
-                (out_dir / name).write_text(dataio.example_csv_text(name), encoding="utf-8")
-                print(f"wrote {out_dir / name}")
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command!r}")

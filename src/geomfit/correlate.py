@@ -4,7 +4,8 @@ The correlation coefficient is the cosine of the angle between the centered
 response and predictor vectors; the angle itself runs from 0 degrees (total
 positive correlation) through 90 (null) to 180 (total negative).  A raw-sums
 textbook formula is provided as an algebraically equivalent alternative and
-the two routes are cross-checked in tests.
+the two routes are cross-checked in tests.  The cosine route reads the
+centered sums Sxx, Syy and Sxy cached on the centered cloud.
 """
 
 from __future__ import annotations
@@ -15,19 +16,10 @@ from dataclasses import dataclass
 
 from .cloud import CenteredCloud, PointCloud
 from .errors import DegenerateX, DegenerateY
-from .vectors import dot, norm
 
 __all__ = [
-    "CorrelationClass",
-    "CorrelationResult",
-    "theta",
-    "r_cosine",
-    "r_textbook",
-    "classify",
-    "correlate",
-    "TOTAL_THRESHOLD",
-    "STRONG_THRESHOLD",
-    "NULL_THRESHOLD",
+    "CorrelationClass", "CorrelationResult", "theta", "r_cosine", "r_textbook", "classify",
+    "correlate", "TOTAL_THRESHOLD", "STRONG_THRESHOLD", "NULL_THRESHOLD",
 ]
 
 # Band cutoffs on |r|.  The qualitative bands are only sketched in the source
@@ -54,26 +46,22 @@ class CorrelationResult:
     cls: CorrelationClass
 
 
-def _cosine(c: CenteredCloud) -> float:
-    ni = norm(c.i_vec)
-    nu = norm(c.u_vec)
+def r_cosine(c: CenteredCloud) -> float:
+    """Correlation coefficient as the cosine of the angle between u and i."""
+    ni = math.sqrt(c.sxx)
+    nu = math.sqrt(c.syy)
     if ni == 0.0:
         raise DegenerateX("all x values coincide; correlation angle undefined")
     if nu == 0.0:
         raise DegenerateY("all y values coincide; correlation angle undefined")
     # Clamp floating-point excess so perfectly collinear data does not feed
     # a value just outside [-1, 1] into acos.
-    return max(-1.0, min(1.0, dot(c.u_vec, c.i_vec) / (nu * ni)))
-
-
-def r_cosine(c: CenteredCloud) -> float:
-    """Correlation coefficient as the cosine of the angle between u and i."""
-    return _cosine(c)
+    return max(-1.0, min(1.0, c.sxy / (nu * ni)))
 
 
 def theta(c: CenteredCloud) -> float:
     """Correlation angle in degrees, in [0, 180]."""
-    return math.degrees(math.acos(_cosine(c)))
+    return math.degrees(math.acos(r_cosine(c)))
 
 
 def r_textbook(cloud: PointCloud) -> float:
@@ -121,6 +109,6 @@ def classify(theta_deg: float) -> CorrelationClass:
 
 def correlate(c: CenteredCloud) -> CorrelationResult:
     """Angle, coefficient, and qualitative class in one bundle."""
-    r = _cosine(c)
+    r = r_cosine(c)
     t = math.degrees(math.acos(r))
     return CorrelationResult(theta_deg=t, r=r, cls=classify(t))

@@ -23,14 +23,9 @@ from typing import Iterator
 
 from .cloud import PointCloud
 from .errors import ColumnNotFound, EmptyDataset, ParseError, RaggedRow
-from .vectors import Vector
 
 __all__ = [
-    "DatasetSpec",
-    "parse",
-    "auto_detect_header",
-    "EXAMPLE_DATASETS",
-    "load_example",
+    "DatasetSpec", "parse", "auto_detect_header", "EXAMPLE_DATASETS", "load_example",
     "example_csv_text",
 ]
 
@@ -143,7 +138,7 @@ def parse(spec: DatasetSpec, content: str) -> PointCloud:
             x, y = (_stripped_value(fields, col, lineno) for col in (ix, iy))
         xs.append(x)
         ys.append(y)
-    return PointCloud(Vector(xs), Vector(ys))
+    return PointCloud(xs, ys)
 
 
 def _stripped_value(fields: list[str], col_index: int, lineno: int) -> float:

@@ -1,25 +1,30 @@
 """Residual diagnostics and orthogonality checks for a fitted line.
 
-The residual vector is the difference between observed and fitted centered
-responses.  A correct fit makes it orthogonal to the centered predictor
-vector, and centering makes both centered columns orthogonal to the all-ones
-vector; this module reports those dot products raw and normalized so the
-checks are scale-free.
+The residual u - slope*i (a plain list cached on the fit, with its sum of
+squares) is the difference between observed and fitted centered responses.
+A correct fit makes it orthogonal to the centered predictor i, and centering
+makes both centered columns orthogonal to the all-ones vector, whose dot
+products are the columns' sums and whose norm is sqrt(n).  This module
+reports those products raw and normalized, by the norms from the centered
+cloud's cached sums, so the checks are scale-free.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
+from typing import Sequence
 
+from .cloud import finite_fsum
 from .regress import FitResult
-from .vectors import Vector, dot, norm, norm_sq, ones, sub
 
 __all__ = ["DiagnosticsReport", "residuals", "sse", "orthogonality_report"]
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    residual: Vector
+    residual: Sequence[float]
     sse: float
     residual_dot_i: float
     ones_dot_i: float
@@ -33,14 +38,14 @@ class DiagnosticsReport:
     ones_dot_u_normalized: float
 
 
-def residuals(fit_result: FitResult) -> Vector:
+def residuals(fit_result: FitResult) -> Sequence[float]:
     """Residual vector: observed minus fitted centered responses."""
-    return sub(fit_result.centered.u_vec, fit_result.j_vec)
+    return fit_result.residual
 
 
 def sse(fit_result: FitResult) -> float:
     """Sum of squared residuals."""
-    return norm_sq(residuals(fit_result))
+    return fit_result.sse
 
 
 def _normalized(product: float, norm_a: float, norm_b: float) -> float:
@@ -51,20 +56,19 @@ def _normalized(product: float, norm_a: float, norm_b: float) -> float:
 def orthogonality_report(fit_result: FitResult) -> DiagnosticsReport:
     """Residual norm plus the three orthogonality dot products."""
     c = fit_result.centered
-    res = residuals(fit_result)
-    n = len(c)
-    w = ones(n)
-    r_dot_i = dot(res, c.i_vec)
-    w_dot_i = dot(w, c.i_vec)
-    w_dot_u = dot(w, c.u_vec)
-    sqrt_n = norm(w)
+    res = fit_result.residual
+    r_dot_i = finite_fsum(map(mul, res, c.i_vec), "the residual-x product")
+    w_dot_i = finite_fsum(c.i_vec, "the sum of x deviations")
+    w_dot_u = finite_fsum(c.u_vec, "the sum of y deviations")
+    sqrt_n = math.sqrt(len(c))
+    norm_i, norm_u = math.sqrt(c.sxx), math.sqrt(c.syy)
     return DiagnosticsReport(
         residual=res,
-        sse=norm_sq(res),
+        sse=fit_result.sse,
         residual_dot_i=r_dot_i,
         ones_dot_i=w_dot_i,
         ones_dot_u=w_dot_u,
-        residual_dot_i_normalized=_normalized(r_dot_i, norm(c.u_vec), norm(c.i_vec)),
-        ones_dot_i_normalized=_normalized(w_dot_i, sqrt_n, norm(c.i_vec)),
-        ones_dot_u_normalized=_normalized(w_dot_u, sqrt_n, norm(c.u_vec)),
+        residual_dot_i_normalized=_normalized(r_dot_i, norm_u, norm_i),
+        ones_dot_i_normalized=_normalized(w_dot_i, sqrt_n, norm_i),
+        ones_dot_u_normalized=_normalized(w_dot_u, sqrt_n, norm_u),
     )

@@ -69,4 +69,4 @@ class BoxTooSmall(GeomfitError):
 
 
 class ObjectiveOverflow(GeomfitError):
-    """The brute-force objective overflows float64, so the search cannot rank its grid."""
+    """A sum the fit reads, or the brute-force objective, overflows float64."""

@@ -14,7 +14,6 @@ from .cloud import PointCloud
 from .correlate import correlate
 from .diagnostics import sse as residual_sse
 from .regress import fit as geometric_fit
-from .vectors import Vector
 
 __all__ = ["GeometricLinearRegression"]
 
@@ -46,7 +45,7 @@ class GeometricLinearRegression:
         ys = _as_1d_column(y, "y")
         if xs.shape[0] != ys.shape[0]:
             raise ValueError(f"X and y length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
-        cloud = PointCloud(Vector(xs), Vector(ys))
+        cloud = PointCloud(xs.tolist(), ys.tolist())
         result = geometric_fit(cloud)
         corr = correlate(result.centered)
         self.slope_ = result.slope

@@ -26,18 +26,17 @@ squared deviations overflow float64 raise :class:`ObjectiveOverflow`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, inf, isfinite
+from math import fsum, inf
 
-import numpy as np
-
-from .cloud import PointCloud
-from .errors import BoxTooSmall, ObjectiveOverflow
+from .cloud import PointCloud, finite
+from .errors import BoxTooSmall
 
 __all__ = ["SearchBox", "sse_of", "grid_search_fit", "gradient_check", "default_box"]
 
 _SHRINK = 0.25  # box half-width factor per refinement round
 _BLOCK_ELEMENTS = 65_536  # element budget of the grid's work buffer
 _UNIT_ROUNDOFF = 2.0**-53
+_OBJECTIVE = "the sum of squared deviations"
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,6 @@ def _parabola_vertex(f, x0: float, h: float) -> float:
     return x0 + 0.5 * h * (s_minus - s_plus) / denom
 
 
-def _finite(value: float) -> float:
-    if not isfinite(value):
-        raise ObjectiveOverflow(
-            "the squared deviations overflow float64, so the search cannot compare lines"
-        )
-    return value
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported by _finite
 def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
     """Minimize the squared-deviation objective by iterated grid refinement.
 
@@ -99,98 +89,101 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
     contain the optimum, and :class:`ObjectiveOverflow` when the objective at
     the best grid point or at a polish point is not finite.
     """
-    n = len(cloud)
-    x_bar = fsum(cloud.xs) / n
-    ys = np.array(cloud.ys, dtype=float)
-    dx = np.array(cloud.xs, dtype=float) - x_bar
+    import numpy as np  # here, so that importing geomfit does not load numpy
 
-    def objective(a: float, c: float) -> float:
-        # Line through (x_bar, c) with slope a, evaluated on raw data.  The
-        # residuals are bit-identical to scalar arithmetic; the squares go
-        # through Python's ``**`` (libm pow), as a scalar evaluation does.
-        try:
-            value = fsum([r ** 2 for r in (ys - a * dx - c).tolist()])
-        except OverflowError:
-            value = inf
-        return _finite(value)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by finite
+        n = len(cloud)
+        x_bar = fsum(cloud.xs) / n
+        ys = np.array(cloud.ys, dtype=float)
+        dx = np.array(cloud.xs, dtype=float) - x_bar
 
-    steps = box.grid_steps
-    a_lo, a_hi = box.a_min, box.a_max
-    # Height-at-mean-x range covering every (a, b) in the box.
-    corners = [
-        b + a * x_bar
-        for a in (box.a_min, box.a_max)
-        for b in (box.b_min, box.b_max)
-    ]
-    c_lo, c_hi = min(corners), max(corners)
-    if c_hi == c_lo:
-        c_lo, c_hi = c_lo - 1.0, c_hi + 1.0
+        def objective(a: float, c: float) -> float:
+            # Line through (x_bar, c) with slope a, evaluated on raw data.  The
+            # residuals are bit-identical to scalar arithmetic; the squares go
+            # through Python's ``**`` (libm pow), as a scalar evaluation does.
+            try:
+                value = fsum([r ** 2 for r in (ys - a * dx - c).tolist()])
+            except OverflowError:
+                value = inf
+            return finite(value, _OBJECTIVE)
 
-    chunk = min(n, max(1, _BLOCK_ELEMENTS // steps))
-    # A block sum passes each nonnegative term through at most `depth`
-    # roundings (chunk - 1 inside its chunk, one per chunk after), so in any
-    # summation order it is within a relative depth*u of the exact sum; a
-    # pow square is within a few u of the rounded product.  Two grid points
-    # whose block sums differ by more than this relative margin are
-    # therefore ordered the same way by exactly rounded evaluation.
-    depth = chunk - 1 + -(-n // chunk)
-    near = 4.0 * (depth + 3) * _UNIT_ROUNDOFF
-    block = np.empty((steps, chunk))
-    row = np.empty(chunk)
-    part = np.empty(steps)
-    sums = np.empty((steps, steps))  # [slope index, height index]
+        steps = box.grid_steps
+        a_lo, a_hi = box.a_min, box.a_max
+        # Height-at-mean-x range covering every (a, b) in the box.
+        corners = [
+            b + a * x_bar
+            for a in (box.a_min, box.a_max)
+            for b in (box.b_min, box.b_max)
+        ]
+        c_lo, c_hi = min(corners), max(corners)
+        if c_hi == c_lo:
+            c_lo, c_hi = c_lo - 1.0, c_hi + 1.0
 
-    best_a = best_c = None
-    for _ in range(box.refinement_rounds):
-        da = (a_hi - a_lo) / (steps - 1)
-        dc = (c_hi - c_lo) / (steps - 1)
-        a_grid = [a_lo + ia * da for ia in range(steps)]
-        c_grid = [c_lo + ic * dc for ic in range(steps)]
-        heights = np.array(c_grid)[:, None]
-        for ia, a in enumerate(a_grid):
-            total = sums[ia]
-            total.fill(0.0)
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                res, blk = row[: hi - lo], block[:, : hi - lo]
-                np.multiply(dx[lo:hi], a, out=res)
-                np.subtract(ys[lo:hi], res, out=res)
-                np.subtract(res, heights, out=blk)
-                np.square(blk, out=blk)
-                total += np.add.reduce(blk, axis=1, out=part)
-        # First minimum in slope-major, height-minor order: ties break
-        # toward the lowest slope, then the lowest height.
-        flat = sums.ravel()
-        k = int(np.argmin(flat))  # a nan sum is the minimum, and raises
-        _finite(float(flat[k]))
-        candidates = np.flatnonzero(flat <= flat[k] * (1.0 + near)).tolist()
-        if len(candidates) > 1:
-            k = min(candidates, key=lambda j: objective(a_grid[j // steps], c_grid[j % steps]))
-        best_a, best_c = a_grid[k // steps], c_grid[k % steps]
-        half_a = _SHRINK * (a_hi - a_lo) / 2
-        half_c = _SHRINK * (c_hi - c_lo) / 2
-        a_lo, a_hi = best_a - half_a, best_a + half_a
-        c_lo, c_hi = best_c - half_c, best_c + half_c
+        chunk = min(n, max(1, _BLOCK_ELEMENTS // steps))
+        # A block sum passes each nonnegative term through at most `depth`
+        # roundings (chunk - 1 inside its chunk, one per chunk after), so in any
+        # summation order it is within a relative depth*u of the exact sum; a
+        # pow square is within a few u of the rounded product.  Two grid points
+        # whose block sums differ by more than this relative margin are
+        # therefore ordered the same way by exactly rounded evaluation.
+        depth = chunk - 1 + -(-n // chunk)
+        near = 4.0 * (depth + 3) * _UNIT_ROUNDOFF
+        block = np.empty((steps, chunk))
+        row = np.empty(chunk)
+        part = np.empty(steps)
+        sums = np.empty((steps, steps))  # [slope index, height index]
 
-    # Quadratic-vertex polish.  Near the minimum the objective differences
-    # fall below the rounding noise of a single evaluation, so cell
-    # refinement alone cannot localize the optimum to 1e-6; a three-point
-    # parabola at a spacing where the signal dominates the noise can, and is
-    # exact for this quadratic objective.
-    for _ in range(2):
-        h_a = max((a_hi - a_lo), 1e-4 * (1.0 + abs(best_a)))
-        best_a = _parabola_vertex(lambda a: objective(a, best_c), best_a, h_a)
-        h_c = max((c_hi - c_lo), 1e-4 * (1.0 + abs(best_c)))
-        best_c = _parabola_vertex(lambda c: objective(best_a, c), best_c, h_c)
+        best_a = best_c = None
+        for _ in range(box.refinement_rounds):
+            da = (a_hi - a_lo) / (steps - 1)
+            dc = (c_hi - c_lo) / (steps - 1)
+            a_grid = [a_lo + ia * da for ia in range(steps)]
+            c_grid = [c_lo + ic * dc for ic in range(steps)]
+            heights = np.array(c_grid)[:, None]
+            for ia, a in enumerate(a_grid):
+                total = sums[ia]
+                total.fill(0.0)
+                for lo in range(0, n, chunk):
+                    hi = min(lo + chunk, n)
+                    res, blk = row[: hi - lo], block[:, : hi - lo]
+                    np.multiply(dx[lo:hi], a, out=res)
+                    np.subtract(ys[lo:hi], res, out=res)
+                    np.subtract(res, heights, out=blk)
+                    np.square(blk, out=blk)
+                    total += np.add.reduce(blk, axis=1, out=part)
+            # First minimum in slope-major, height-minor order: ties break
+            # toward the lowest slope, then the lowest height.
+            flat = sums.ravel()
+            k = int(np.argmin(flat))  # a nan sum is the minimum, and raises
+            finite(float(flat[k]), _OBJECTIVE)
+            candidates = np.flatnonzero(flat <= flat[k] * (1.0 + near)).tolist()
+            if len(candidates) > 1:
+                k = min(candidates, key=lambda j: objective(a_grid[j // steps], c_grid[j % steps]))
+            best_a, best_c = a_grid[k // steps], c_grid[k % steps]
+            half_a = _SHRINK * (a_hi - a_lo) / 2
+            half_c = _SHRINK * (c_hi - c_lo) / 2
+            a_lo, a_hi = best_a - half_a, best_a + half_a
+            c_lo, c_hi = best_c - half_c, best_c + half_c
 
-    best_b = best_c - best_a * x_bar
-    margin_a = (box.a_max - box.a_min) / (steps - 1)
-    margin_b = (box.b_max - box.b_min) / (steps - 1)
-    if not (box.a_min + margin_a <= best_a <= box.a_max - margin_a):
-        raise BoxTooSmall(f"minimum at a={best_a} is outside or hugging the slope bounds")
-    if not (box.b_min + margin_b <= best_b <= box.b_max - margin_b):
-        raise BoxTooSmall(f"minimum at b={best_b} is outside or hugging the intercept bounds")
-    return best_a, best_b
+        # Quadratic-vertex polish.  Near the minimum the objective differences
+        # fall below the rounding noise of a single evaluation, so cell
+        # refinement alone cannot localize the optimum to 1e-6; a three-point
+        # parabola at a spacing where the signal dominates the noise can, and is
+        # exact for this quadratic objective.
+        for _ in range(2):
+            h_a = max((a_hi - a_lo), 1e-4 * (1.0 + abs(best_a)))
+            best_a = _parabola_vertex(lambda a: objective(a, best_c), best_a, h_a)
+            h_c = max((c_hi - c_lo), 1e-4 * (1.0 + abs(best_c)))
+            best_c = _parabola_vertex(lambda c: objective(best_a, c), best_c, h_c)
+
+        best_b = best_c - best_a * x_bar
+        margin_a = (box.a_max - box.a_min) / (steps - 1)
+        margin_b = (box.b_max - box.b_min) / (steps - 1)
+        if not (box.a_min + margin_a <= best_a <= box.a_max - margin_a):
+            raise BoxTooSmall(f"minimum at a={best_a} is outside or hugging the slope bounds")
+        if not (box.b_min + margin_b <= best_b <= box.b_max - margin_b):
+            raise BoxTooSmall(f"minimum at b={best_b} is outside or hugging the intercept bounds")
+        return best_a, best_b
 
 
 def gradient_check(cloud: PointCloud, a: float, b: float, h: float = 1e-6) -> tuple[float, float]:

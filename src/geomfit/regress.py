@@ -2,18 +2,21 @@
 
 After centering, the fitted centered responses are the projection of the
 centered response vector onto the centered predictor vector, so the slope is
-dot(u, i) / ||i||^2 and the intercept follows from the centroid lying on the
-line.
+Sxy / Sxx (the centered cloud's cached sums) and the intercept follows from
+the centroid lying on the line.  The residual u - slope*i and its sum of
+squares are cached on the fit.  A slope, intercept or sum that overflows
+float64 raises :class:`ObjectiveOverflow`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
-from .cloud import CenteredCloud, PointCloud, center
+from .cloud import CenteredCloud, PointCloud, center, finite, finite_fsum
 from .errors import DegenerateX, TooFewPoints
-from .vectors import Vector, dot, norm_sq, scale
 
 __all__ = ["FitResult", "fit_slope_centered", "fit", "predict"]
 
@@ -22,27 +25,37 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted line y = slope * x + intercept, with the centered cloud and
-    the fitted centered responses retained for diagnostics."""
+    """Fitted line y = slope * x + intercept, with the centered cloud
+    retained for diagnostics."""
 
     slope: float
     intercept: float
     centered: CenteredCloud
-    j_vec: Vector
+
+    @cached_property
+    def residual(self) -> list[float]:
+        """Observed minus fitted centered responses, u - slope*i."""
+        a = self.slope
+        return [u - a * i for u, i in zip(self.centered.u_vec, self.centered.i_vec)]
+
+    @cached_property
+    def sse(self) -> float:
+        """Sum of squared residuals."""
+        return finite_fsum(map(mul, self.residual, self.residual), "the sum of squared residuals")
 
 
 def _degenerate_x(c: CenteredCloud) -> bool:
     # Treat a squared spread at roundoff scale as zero rather than dividing
     # by it and returning an enormous slope.
     max_x = max(abs(c.centroid_x + xi) for xi in c.i_vec)
-    return norm_sq(c.i_vec) <= len(c) * _EPS * max(1.0, max_x * max_x)
+    return c.sxx <= len(c) * _EPS * max(1.0, max_x * max_x)
 
 
 def fit_slope_centered(c: CenteredCloud) -> float:
     """Slope of the best-fit line through the origin of a centered cloud."""
     if _degenerate_x(c):
         raise DegenerateX("all x values coincide; slope is undefined")
-    return dot(c.u_vec, c.i_vec) / norm_sq(c.i_vec)
+    return finite(c.sxy / c.sxx, "the slope")
 
 
 def fit(cloud: PointCloud) -> FitResult:
@@ -51,8 +64,8 @@ def fit(cloud: PointCloud) -> FitResult:
         raise TooFewPoints(f"need at least 2 points, got {len(cloud)}")
     c = center(cloud)
     a = fit_slope_centered(c)
-    b = c.centroid_y - a * c.centroid_x
-    return FitResult(slope=a, intercept=b, centered=c, j_vec=scale(a, c.i_vec))
+    b = finite(c.centroid_y - a * c.centroid_x, "the intercept")
+    return FitResult(slope=a, intercept=b, centered=c)
 
 
 def predict(fit_result: FitResult, x: float) -> float:

@@ -70,68 +70,45 @@ def plot_frame(cloud: PointCloud, fit_result: FitResult, width: float, height: f
     return PlotFrame(width, height, x_lo, x_hi, y_min - y_pad, y_max + y_pad)
 
 
-def _px(v: float) -> str:
-    return f"{v:.3f}"
-
-
-def _label(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480) -> str:
-    """SVG document: one circle per point, the fitted line, min/max axis ticks."""
+    """SVG document: one circle per point, the fitted line, min/max axis ticks.
+
+    Pixel coordinates are printed as "%.3f" and tick labels as "%.6g".
+    """
     if width < MIN_SIZE_PX or height < MIN_SIZE_PX:
         raise ValueError(f"width and height must be at least {MIN_SIZE_PX} px")
     frame = plot_frame(cloud, fit_result, float(width), float(height))
-
+    ox, oy = _MARGIN_LEFT, float(height) - _MARGIN_BOTTOM
+    line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="%s"/>'
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        # Axes along the left and bottom plot edges.
+        line % (ox, oy, float(width) - _MARGIN_RIGHT, oy, "black", "1"),
+        line % (ox, oy, ox, _MARGIN_TOP, "black", "1"),
     ]
 
-    # Axes along the left and bottom plot edges.
-    ox, oy = _MARGIN_LEFT, float(height) - _MARGIN_BOTTOM
-    parts.append(
-        f'<line x1="{_px(ox)}" y1="{_px(oy)}" x2="{_px(float(width) - _MARGIN_RIGHT)}" '
-        f'y2="{_px(oy)}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_px(ox)}" y1="{_px(oy)}" x2="{_px(ox)}" y2="{_px(_MARGIN_TOP)}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-
     # Min/max tick labels in data coordinates.
-    x_min, x_max = min(cloud.xs), max(cloud.xs)
-    y_min, y_max = min(cloud.ys), max(cloud.ys)
-    for xv in (x_min, x_max):
-        px, _ = frame.to_px(xv, frame.y_lo)
-        parts.append(
-            f'<text x="{_px(px)}" y="{_px(oy + 18.0)}" font-size="11" '
-            f'text-anchor="middle">{_label(xv)}</text>'
-        )
-    for yv in (y_min, y_max):
-        _, py = frame.to_px(frame.x_lo, yv)
-        parts.append(
-            f'<text x="{_px(ox - 6.0)}" y="{_px(py + 4.0)}" font-size="11" '
-            f'text-anchor="end">{_label(yv)}</text>'
-        )
+    tick = '<text x="%.3f" y="%.3f" font-size="11" text-anchor="%s">%.6g</text>'
+    for xv in (min(cloud.xs), max(cloud.xs)):
+        parts.append(tick % (frame.to_px(xv, frame.y_lo)[0], oy + 18.0, "middle", xv))
+    for yv in (min(cloud.ys), max(cloud.ys)):
+        parts.append(tick % (ox - 6.0, frame.to_px(frame.x_lo, yv)[1] + 4.0, "end", yv))
 
     # Fitted line clipped to the padded x-range.
-    (lx1, ly1) = frame.to_px(frame.x_lo, predict(fit_result, frame.x_lo))
-    (lx2, ly2) = frame.to_px(frame.x_hi, predict(fit_result, frame.x_hi))
-    parts.append(
-        f'<line x1="{_px(lx1)}" y1="{_px(ly1)}" x2="{_px(lx2)}" y2="{_px(ly2)}" '
-        f'stroke="crimson" stroke-width="1.5"/>'
+    ends = [frame.to_px(x, predict(fit_result, x)) for x in (frame.x_lo, frame.x_hi)]
+    parts.append(line % (*ends[0], *ends[1], "crimson", "1.5"))
+
+    # Points, in file order, with frame.to_px inlined in its operation order.
+    x_lo, x_span, plot_w = frame.x_lo, frame.x_hi - frame.x_lo, frame.plot_width
+    y_hi, y_span, plot_h = frame.y_hi, frame.y_hi - frame.y_lo, frame.plot_height
+    circle = (f'<circle cx="%.3f" cy="%.3f" r="{_POINT_RADIUS}" '
+              'fill="steelblue" fill-opacity="0.8"/>')
+    parts.extend(
+        circle % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
+                  _MARGIN_TOP + (y_hi - y) / y_span * plot_h)
+        for x, y in zip(cloud.xs, cloud.ys)
     )
-
-    # Points, in file order.
-    for x, y in zip(cloud.xs, cloud.ys):
-        px, py = frame.to_px(x, y)
-        parts.append(
-            f'<circle cx="{_px(px)}" cy="{_px(py)}" r="{_POINT_RADIUS}" '
-            f'fill="steelblue" fill-opacity="0.8"/>'
-        )
-
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -120,7 +120,7 @@ def test_criterion_7_pythagorean_decomposition():
         for _ in range(100):
             f = fit(random_cloud(rng))
             uu = norm_sq(f.centered.u_vec)
-            jj = norm_sq(f.j_vec)
+            jj = norm_sq([f.slope * i for i in f.centered.i_vec])
             rr = norm_sq(residuals(f))
             assert uu == pytest.approx(jj + rr, rel=1e-9)
 

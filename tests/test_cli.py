@@ -1,10 +1,16 @@
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import geomfit
 from geomfit.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -208,9 +214,74 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ") and "overflow" in captured.err
-        # fit does not run the search and still reports the data
-        assert run(["fit", "--input", str(path), "--format", "json"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["n"] == 4
+        # fit does not run the search: at 1e150 it still reports the data, at
+        # 1e160 its own sum of squared y deviations overflows (TestFloatOverflow)
+        code = run(["fit", "--input", str(path), "--format", "json"])
+        if exponent == "150":
+            assert code == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["n"] == 4
+        else:
+            assert code == EXIT_DATA
+
+
+HUGE_Y = "x,y\n1,1e160\n2,2e160\n3,3.5e160\n4,3.9e160\n"
+
+
+class TestFloatOverflow:
+    """Data whose sums overflow float64 exit 3 with one line, never a wrong answer."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("content, what", [
+        (HUGE_Y, "squared y deviations"),
+        ("x,y\n1,1.7e308\n2,-1.7e308\n3,1\n", "squared y deviations"),
+        ("x,y\n1.6e308,1\n1.7e308,2\n1.65e308,3\n", "sum of x"),
+    ], ids=["y_1e160", "y_opposite_1.7e308", "x_1.7e308"])
+    def test_fit_exits_3(self, tmp_path, capsys, content, what, fmt):
+        path = tmp_path / "huge.csv"
+        path.write_text(content, encoding="utf-8")
+        assert run(["fit", "--input", str(path), "--format", fmt]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert what in captured.err and "overflows float64" in captured.err
+
+    def test_plot_reads_only_sxx_and_sxy(self, tmp_path):
+        path, out = tmp_path / "huge_y.csv", tmp_path / "huge_y.svg"
+        path.write_text(HUGE_Y, encoding="utf-8")
+        assert run(["plot", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0a5fd6ac88bf261e27ed4db2ad5002e70b66179b89e5478b08a5caa79dbc2e5c")
+
+    def test_plot_on_overflowing_centroid_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge_x.csv"
+        path.write_text("x,y\n1.6e308,1\n1.7e308,2\n1.65e308,3\n", encoding="utf-8")
+        assert run(["plot", "--input", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: the sum of x overflows float64\n"
+
+
+def test_fit_and_plot_do_not_import_numpy(tmp_path):
+    csv = tmp_path / "example1_amarante.csv"
+    csv.write_text(example_csv_text("example1_amarante.csv"), encoding="utf-8")
+    script = f"""
+import contextlib, io, sys
+from geomfit.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["fit", "--input", {str(csv)!r}]) == 0
+    assert run(["plot", "--input", {str(csv)!r}]) == 0
+assert "numpy" not in sys.modules, "fit or plot imported numpy"
+import geomfit
+est = geomfit.GeometricLinearRegression().fit([[0.0], [1.0], [2.0]], [1.0, 3.0, 5.0])
+assert (est.slope_, est.intercept_) == (2.0, 1.0)
+assert "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert run(["verify", "--input", {str(csv)!r}]) == 0
+assert "verification passed" in out.getvalue()
+"""
+    src = Path(geomfit.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExamplesCommand:

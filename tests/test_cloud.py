@@ -1,11 +1,15 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from geomfit.cloud import PointCloud, center, centroid
-from geomfit.vectors import Vector, dot, ones
+from geomfit.correlate import correlate
+from geomfit.errors import ObjectiveOverflow
+from geomfit.regress import fit
+from geomfit.vectors import Vector, dot, norm_sq, ones
 
 from conftest import EX1, EX2
 
@@ -25,8 +29,49 @@ class TestPointCloud:
 
     def test_from_pairs(self):
         c = PointCloud.from_pairs([(1, 2), (3, 4)])
-        assert c.xs.components == (1.0, 3.0)
-        assert c.ys.components == (2.0, 4.0)
+        assert c.xs == [1.0, 3.0]
+        assert c.ys == [2.0, 4.0]
+
+
+    def test_columns_are_plain_float_lists(self):
+        c = PointCloud.from_columns((1, 2), (3.5, "4"))
+        assert c.xs == [1.0, 2.0] and c.ys == [3.5, 4.0]
+        assert all(type(v) is float for v in c.xs + c.ys)
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([], [], "a vector needs at least one component"),
+        ([1.0, math.inf], [1.0, 2.0], "component 1 is not finite: inf"),
+        ([1.0, 2.0], [math.nan, 2.0], "component 0 is not finite: nan"),
+        ([1.0, 2.0], [1.0], "xs and ys must have equal length, got 2 and 1"),
+    ])
+    def test_validated_at_construction(self, xs, ys, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PointCloud(xs, ys)
+
+
+class TestCachedSums:
+    def test_match_the_vector_helpers(self, ex1_cloud):
+        c = center(ex1_cloud)
+        assert c.sxx == norm_sq(c.i_vec)
+        assert c.syy == norm_sq(c.u_vec)
+        assert c.sxy == dot(c.u_vec, c.i_vec)
+
+    def test_fit_reads_only_sxx_and_sxy(self, ex1_cloud):
+        c = fit(ex1_cloud).centered
+        assert {"sxx", "sxy"} <= vars(c).keys() and "syy" not in vars(c)
+        correlate(c)
+        assert "syy" in vars(c)
+
+    def test_overflowing_sum_raises(self):
+        c = center(PointCloud.from_columns([1, 2, 3, 4], [1e160, 2e160, 3.5e160, 3.9e160]))
+        assert math.isfinite(c.sxx) and math.isfinite(c.sxy)
+        with pytest.raises(ObjectiveOverflow, match="sum of squared y deviations overflows"):
+            c.syy
+
+    def test_overflowing_centroid_raises(self):
+        cloud = PointCloud.from_columns([1.6e308, 1.7e308, 1.65e308], [1.0, 2.0, 3.0])
+        with pytest.raises(ObjectiveOverflow, match="sum of x overflows"):
+            centroid(cloud)
 
 
 class TestCentroid:
@@ -59,8 +104,8 @@ class TestCenter:
         cloud = PointCloud.from_columns([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])
         c = center(cloud)
         assert c.centroid_x == 0.0 and c.centroid_y == 0.0
-        assert c.i_vec.components == cloud.xs.components
-        assert c.u_vec.components == cloud.ys.components
+        assert c.i_vec == cloud.xs
+        assert c.u_vec == cloud.ys
 
 
 class TestProperties:

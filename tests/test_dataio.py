@@ -78,8 +78,8 @@ class TestParse:
             DatasetSpec(x_col="temp", y_col="rain"),
             "rain,temp\n10,20\n30,40\n",
         )
-        assert cloud.xs.components == (20.0, 40.0)
-        assert cloud.ys.components == (10.0, 30.0)
+        assert cloud.xs == [20.0, 40.0]
+        assert cloud.ys == [10.0, 30.0]
 
     def test_missing_named_column(self):
         with pytest.raises(ColumnNotFound):
@@ -99,7 +99,7 @@ class TestParse:
 
     def test_custom_delimiter(self):
         cloud = parse(DatasetSpec(delimiter=";"), "1;2\n3;4\n")
-        assert cloud.xs.components == (1.0, 3.0)
+        assert cloud.xs == [1.0, 3.0]
 
     def test_comments_and_blank_lines_skipped(self):
         cloud = parse(DatasetSpec(), "# comment\nx,y\n\n1,2\n  # another\n3,4\n")
@@ -107,7 +107,7 @@ class TestParse:
 
     def test_crlf_endings(self):
         cloud = parse(DatasetSpec(), "x,y\r\n1,2\r\n3,4\r\n")
-        assert cloud.ys.components == (2.0, 4.0)
+        assert cloud.ys == [2.0, 4.0]
 
     def test_whitespace_trimmed(self):
         cloud = parse(DatasetSpec(), " 1 , 2 \n")
@@ -115,12 +115,12 @@ class TestParse:
 
     def test_scientific_notation(self):
         cloud = parse(DatasetSpec(), "1e2,2.5e-1\n2e2,5e-1\n")
-        assert cloud.xs.components == (100.0, 200.0)
-        assert cloud.ys.components == (0.25, 0.5)
+        assert cloud.xs == [100.0, 200.0]
+        assert cloud.ys == [0.25, 0.5]
 
     def test_row_order_preserved(self):
         cloud = parse(DatasetSpec(), "3,30\n1,10\n2,20\n")
-        assert cloud.xs.components == (3.0, 1.0, 2.0)
+        assert cloud.xs == [3.0, 1.0, 2.0]
 
 
 class TestRoundTrip:
@@ -137,8 +137,8 @@ class TestRoundTrip:
     def test_serialize_parse_round_trip(self, pairs):
         text = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in pairs)
         cloud = parse(DatasetSpec(), text)
-        assert cloud.xs.components == tuple(p[0] for p in pairs)
-        assert cloud.ys.components == tuple(p[1] for p in pairs)
+        assert cloud.xs == [p[0] for p in pairs]
+        assert cloud.ys == [p[1] for p in pairs]
 
 
 # --- Reference parser -------------------------------------------------------
@@ -328,7 +328,7 @@ class TestMatchesReferenceParser:
         # and str.strip() removes \x1c, so the field is 2.0.
         content = "1,\x1c2\n3,4\x1f\n"
         cloud = parse(DatasetSpec(has_header=False), content)
-        assert cloud.ys.components == (2.0, 4.0)
+        assert cloud.ys == [2.0, 4.0]
         assert _outcome(parse, DatasetSpec(), content) == _outcome(
             _reference_parse, DatasetSpec(), content
         )

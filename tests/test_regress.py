@@ -42,8 +42,7 @@ class TestFit:
         f = fit(PointCloud.from_pairs([(0, 1), (2, 5)]))
         assert f.slope == 2.0
         assert f.intercept == 1.0
-        res = sub(f.centered.u_vec, f.j_vec)
-        assert all(abs(v) <= 1e-12 for v in res)
+        assert all(abs(v) <= 1e-12 for v in f.residual)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -54,9 +53,10 @@ class TestFit:
             fit(PointCloud.from_columns([7.0, 7.0], [0.0, 1.0]))
 
     def test_j_vec_is_scaled_i_vec(self, ex1_cloud):
+        # The fitted centered responses j = u - residual are slope * i.
         f = fit(ex1_cloud)
-        for j, i in zip(f.j_vec, f.centered.i_vec):
-            assert j == pytest.approx(f.slope * i, rel=1e-12, abs=1e-15)
+        for r, u, i in zip(f.residual, f.centered.u_vec, f.centered.i_vec):
+            assert u - r == pytest.approx(f.slope * i, rel=1e-12, abs=1e-15)
 
 
 class TestPredict:
@@ -79,7 +79,8 @@ class TestFitProperties:
         for _ in range(50):
             cloud = random_cloud(rng)
             f = fit(cloud)
-            res = sub(f.centered.u_vec, f.j_vec)
+            res = sub(f.centered.u_vec, [f.slope * i for i in f.centered.i_vec])
+            assert list(res) == f.residual
             bound = 1e-9 * norm(f.centered.u_vec) * norm(f.centered.i_vec)
             assert abs(dot(res, f.centered.i_vec)) <= max(bound, 1e-12)
 
