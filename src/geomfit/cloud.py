@@ -37,7 +37,8 @@ def finite_fsum(terms: Iterable[float], what: str) -> float:
 
 
 def _column(values: Iterable[float]) -> list[float]:
-    col = list(map(float, values))
+    # A numpy array's tolist() converts it in one call, not element by element.
+    col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
     if not col:
         raise ValueError("a vector needs at least one component")
     if not all(map(math.isfinite, col)):

@@ -45,7 +45,7 @@ class GeometricLinearRegression:
         ys = _as_1d_column(y, "y")
         if xs.shape[0] != ys.shape[0]:
             raise ValueError(f"X and y length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
-        cloud = PointCloud(xs.tolist(), ys.tolist())
+        cloud = PointCloud(xs, ys)
         result = geometric_fit(cloud)
         corr = correlate(result.centered)
         self.slope_ = result.slope
