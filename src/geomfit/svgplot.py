@@ -100,7 +100,7 @@ def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
     ends = [frame.to_px(x, predict(fit_result, x)) for x in (frame.x_lo, frame.x_hi)]
     parts.append(line % (*ends[0], *ends[1], "crimson", "1.5"))
 
-    # Points, in file order, with frame.to_px inlined in its operation order.
+    # Points in file order; frame.to_px inlined for speed, in its operation order.
     x_lo, x_span, plot_w = frame.x_lo, frame.x_hi - frame.x_lo, frame.plot_width
     y_hi, y_span, plot_h = frame.y_hi, frame.y_hi - frame.y_lo, frame.plot_height
     circle = (f'<circle cx="%.3f" cy="%.3f" r="{_POINT_RADIUS}" '

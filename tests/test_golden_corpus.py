@@ -19,7 +19,7 @@ import pytest
 
 from geomfit.cli import build_report, render_report
 from geomfit.cloud import PointCloud
-from geomfit.dataio import EXAMPLE_DATASETS, example_csv_text, parse, DatasetSpec
+from geomfit.dataio import EXAMPLE_DATASETS, DatasetSpec, example_csv_text, parse
 from geomfit.estimator import GeometricLinearRegression
 from geomfit.regress import fit
 from geomfit.svgplot import render_svg
