@@ -225,6 +225,7 @@ class TestVerifyCommand:
 
 
 HUGE_Y = "x,y\n1,1e160\n2,2e160\n3,3.5e160\n4,3.9e160\n"
+HUGE_X = "x,y\n1.6e308,1\n1.7e308,2\n1.65e308,3\n"
 
 
 class TestFloatOverflow:
@@ -234,7 +235,7 @@ class TestFloatOverflow:
     @pytest.mark.parametrize("content, what", [
         (HUGE_Y, "squared y deviations"),
         ("x,y\n1,1.7e308\n2,-1.7e308\n3,1\n", "squared y deviations"),
-        ("x,y\n1.6e308,1\n1.7e308,2\n1.65e308,3\n", "sum of x"),
+        (HUGE_X, "sum of x"),
     ], ids=["y_1e160", "y_opposite_1.7e308", "x_1.7e308"])
     def test_fit_exits_3(self, tmp_path, capsys, content, what, fmt):
         path = tmp_path / "huge.csv"
@@ -255,7 +256,7 @@ class TestFloatOverflow:
 
     def test_plot_on_overflowing_centroid_exits_3(self, tmp_path, capsys):
         path = tmp_path / "huge_x.csv"
-        path.write_text("x,y\n1.6e308,1\n1.7e308,2\n1.65e308,3\n", encoding="utf-8")
+        path.write_text(HUGE_X, encoding="utf-8")
         assert run(["plot", "--input", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == "error: the sum of x overflows float64\n"
 
