@@ -12,15 +12,17 @@ refinement loses the minimizer; shifting the intercept axis to the line's
 height at mean(x) makes the axes independent so the grid converges.  The
 minimum is still located purely by evaluating the objective.
 
-Each refinement round evaluates its grid in float64 blocks: for one slope,
-the row ``y - a*(x - mean x)`` is formed once and all heights are
-subtracted from it as a (heights, points) block, squared and summed.  The
-block has a fixed element budget, so memory stays bounded whatever n is.
-Grid points whose block sums lie within the worst-case rounding bound of the
-smallest are re-ranked with exactly rounded ``fsum`` evaluations, so the
-chosen point is the one an all-``fsum`` scan would choose.  The
-parabola polish is evaluated with ``fsum`` on the raw data.  Data whose
-squared deviations overflow float64 raise :class:`ObjectiveOverflow`.
+Each refinement round screens its grid in closed form.  For one slope a the
+objective is a quadratic in the height c: with d = (y - a*(x - mean x)) - m
+for a fixed shift m, sum (d - e)^2 = S2 - 2*e*S1 + n*e^2 where e = c - m,
+S1 = sum d and S2 = sum d^2 (the shifted-data identity of Chan, Golub &
+LeVeque, 1983).  So two sums per slope, taken over a bounded work buffer,
+price all heights at once.  Every grid point whose value could, within a
+rigorous rounding bound, be the smallest is re-ranked with exactly rounded
+``fsum`` evaluations, so the chosen point is the one an all-``fsum`` scan
+would choose.  The parabola polish is evaluated with ``fsum`` on the raw
+data.  Data whose squared deviations overflow float64 raise
+:class:`ObjectiveOverflow`.
 """
 
 from __future__ import annotations
@@ -120,18 +122,21 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
             c_lo, c_hi = c_lo - 1.0, c_hi + 1.0
 
         chunk = min(n, max(1, _BLOCK_ELEMENTS // steps))
-        # A block sum passes each nonnegative term through at most `depth`
-        # roundings (chunk - 1 inside its chunk, one per chunk after), so in any
-        # summation order it is within a relative depth*u of the exact sum; a
-        # pow square is within a few u of the rounded product.  Two grid points
-        # whose block sums differ by more than this relative margin are
-        # therefore ordered the same way by exactly rounded evaluation.
-        depth = chunk - 1 + -(-n // chunk)
-        near = 4.0 * (depth + 3) * _UNIT_ROUNDOFF
+        # Rounding bound of the screen (Higham, Accuracy and Stability of
+        # Numerical Algorithms, ch. 3-4, g(k) = k*u/(1 - k*u)).  A row sum adds
+        # 128-wide sub-blocks, then their sums, then the chunk sums, so a term
+        # passes through at most `depth` roundings.  Over the objective's rows
+        # r, with A = sum (r - m)^2, B = sum (r - m) and e = c - m exact:
+        # |S2 - A| <= g(depth+3)*A, |S1 - B| <= g(depth+1)*sqrt(n*A), and
+        # 2|e|*sqrt(n*A) <= A + n*e^2 (AM-GM).  The objective's pow squares and
+        # fsum add at most about 6u*Q, so `w` bounds |q - objective|; the
+        # n*2^-1020 term covers products that underflow.
+        depth = min(chunk, 128) - 1 + (-(-chunk // 128) - 1) + -(-n // chunk)
+        spread = 2.0 * (depth + 16) * _UNIT_ROUNDOFF
+        m = float(np.sum(ys / n))  # the mean, without overflow; any m keeps q exact
         block = np.empty((steps, chunk))
-        row = np.empty(chunk)
-        part = np.empty(steps)
-        sums = np.empty((steps, steps))  # [slope index, height index]
+        starts = np.arange(0, chunk, 128)
+        part = np.empty((steps, len(starts)))  # sub-block sums of one chunk
 
         best_a = best_c = None
         for _ in range(box.refinement_rounds):
@@ -139,24 +144,30 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
             dc = (c_hi - c_lo) / (steps - 1)
             a_grid = [a_lo + ia * da for ia in range(steps)]
             c_grid = [c_lo + ic * dc for ic in range(steps)]
-            heights = np.array(c_grid)[:, None]
-            for ia, a in enumerate(a_grid):
-                total = sums[ia]
-                total.fill(0.0)
-                for lo in range(0, n, chunk):
-                    hi = min(lo + chunk, n)
-                    res, blk = row[: hi - lo], block[:, : hi - lo]
-                    np.multiply(dx[lo:hi], a, out=res)
-                    np.subtract(ys[lo:hi], res, out=res)
-                    np.subtract(res, heights, out=blk)
-                    np.square(blk, out=blk)
-                    total += np.add.reduce(blk, axis=1, out=part)
-            # First minimum in slope-major, height-minor order: ties break
-            # toward the lowest slope, then the lowest height.
-            flat = sums.ravel()
-            k = int(np.argmin(flat))  # a nan sum is the minimum, and raises
-            finite(float(flat[k]), _OBJECTIVE)
-            candidates = np.flatnonzero(flat <= flat[k] * (1.0 + near)).tolist()
+            slopes = np.array(a_grid)[:, None]
+            s1, s2 = np.zeros((steps, 1)), np.zeros((steps, 1))
+            for lo in range(0, n, chunk):
+                hi = min(lo + chunk, n)
+                subs = -(-(hi - lo) // 128)
+                d, at, sub = block[:, : hi - lo], starts[:subs], part[:, :subs]
+                np.multiply(slopes, dx[lo:hi], out=d)  # rounded as the objective's rows
+                np.subtract(ys[lo:hi], d, out=d)
+                np.subtract(d, m, out=d)
+                s1 += np.add.reduceat(d, at, axis=1, out=sub).sum(axis=1, keepdims=True)
+                np.square(d, out=d)
+                s2 += np.add.reduceat(d, at, axis=1, out=sub).sum(axis=1, keepdims=True)
+            e = np.array(c_grid) - m
+            e_s1, n_e2 = s1 * e, n * e * e  # [slope index, height index]
+            q = (s2 - 2.0 * e_s1 + n_e2).ravel()
+            w = (spread * (s2 + np.abs(e_s1) + n_e2 + n * 2.0**-1020)).ravel()
+            ok = np.isfinite(q) & np.isfinite(w)  # a non-finite value counts as +inf
+            upper = np.where(ok, q + w, inf)
+            k = int(np.argmin(upper))
+            finite(float(upper[k]), _OBJECTIVE)
+            # Every point whose objective may be the smallest, in slope-major,
+            # height-minor order; the first exact minimum among them breaks
+            # ties toward the lowest slope, then the lowest height.
+            candidates = np.flatnonzero(np.where(ok, q - w, inf) <= upper[k]).tolist()
             if len(candidates) > 1:
                 k = min(candidates, key=lambda j: objective(a_grid[j // steps], c_grid[j % steps]))
             best_a, best_c = a_grid[k // steps], c_grid[k % steps]

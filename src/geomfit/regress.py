@@ -46,8 +46,9 @@ class FitResult:
 
 def _degenerate_x(c: CenteredCloud) -> bool:
     # Treat a squared spread at roundoff scale as zero rather than dividing
-    # by it and returning an enormous slope.
-    max_x = max(abs(c.centroid_x + xi) for xi in c.i_vec)
+    # by it and returning an enormous slope.  Rounding is monotonic, so the
+    # largest |x_bar + i| sits at the smallest or the largest i.
+    max_x = max(abs(c.centroid_x + min(c.i_vec)), abs(c.centroid_x + max(c.i_vec)))
     return c.sxx <= len(c) * _EPS * max(1.0, max_x * max_x)
 
 

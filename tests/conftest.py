@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,19 @@ EX2 = {
     # the anchored quotient; within 7.2e-10 of the exact r 0.99771777558...
     "r": 261980.0 / 262579.265,
 }
+
+
+def exact_fit(cloud: PointCloud) -> tuple[float, float]:
+    """Least-squares slope and intercept in exact rational arithmetic."""
+    xs, ys = [Fraction(x) for x in cloud.xs], [Fraction(y) for y in cloud.ys]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    slope = sxy / sum((x - x_bar) ** 2 for x in xs)
+    return float(slope), float(y_bar - slope * x_bar)
+
+
+# example 1's slope and intercept, (-9.706900304280843, 226.4556658970737)
+EX1_EXACT = exact_fit(load_example("example1_amarante.csv"))
 
 
 @pytest.fixture(scope="session")

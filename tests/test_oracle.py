@@ -5,6 +5,7 @@ import pytest
 
 import geomfit.oracle as oracle
 from geomfit.cloud import PointCloud
+from geomfit.correlate import correlate
 from geomfit.dataio import load_example
 from geomfit.errors import BoxTooSmall
 from geomfit.oracle import (
@@ -19,7 +20,7 @@ from geomfit.oracle import (
 from geomfit.regress import fit
 from geomfit.vectors import dot, sub
 
-from conftest import EX1, random_cloud
+from conftest import EX1, EX1_EXACT, random_cloud
 
 LINE_2X1 = PointCloud.from_columns([0, 1, 2], [1, 3, 5])
 
@@ -64,8 +65,8 @@ class TestGridSearch:
 
     def test_example1(self, ex1_cloud):
         a, b = grid_search_fit(ex1_cloud, skewed_box(EX1["a"], EX1["b"]))
-        assert a == pytest.approx(EX1["a"], abs=1e-2)
-        assert b == pytest.approx(EX1["b"], abs=1e-2)
+        assert a == pytest.approx(EX1_EXACT[0], rel=1e-12)
+        assert b == pytest.approx(EX1_EXACT[1], rel=1e-12)
 
     def test_agrees_with_projection_fit(self):
         rng = random.Random(401)
@@ -248,6 +249,52 @@ def _corpus():
             k += 1
 
 
+def _integer_line(rng: random.Random, n: int) -> PointCloud:
+    """Integer points on an integer line: the optimum has zero residual."""
+    xs = [float(rng.randint(-50, 50)) for _ in range(n)]
+    slope, height = rng.randint(-7, 7), rng.randint(-20, 20)
+    return PointCloud.from_columns(xs, [slope * x + height for x in xs])
+
+
+def _x_offset(rng: random.Random, n: int) -> PointCloud:
+    xs = [1e9 + rng.uniform(0.0, 100.0) for _ in range(n)]
+    return PointCloud.from_columns(xs, [2.5 * (x - 1e9) + rng.gauss(0.0, 5.0) for x in xs])
+
+
+def _y_offset(rng: random.Random, n: int) -> PointCloud:
+    xs = [rng.uniform(0.0, 1.0) for _ in range(n)]
+    return PointCloud.from_columns(xs, [1e6 + 3e-6 * x + rng.gauss(0.0, 1e-6) for x in xs])
+
+
+def _scaled(factor: float):
+    def make(rng: random.Random, n: int) -> PointCloud:
+        xs = [rng.uniform(-10.0, 10.0) for _ in range(n)]
+        ys = [-1.5 * x + 4.0 + rng.gauss(0.0, 2.0) for x in xs]
+        return PointCloud.from_columns([factor * x for x in xs], [factor * y for y in ys])
+
+    return make
+
+
+def _weak(rng: random.Random, n: int) -> PointCloud:
+    """Noise with its x component replaced by a small one: |r| about 0.005."""
+    xs = [rng.uniform(0.0, 100.0) for _ in range(n)]
+    x_bar = fsum(xs) / n
+    dx = [x - x_bar for x in xs]
+    noise = [rng.gauss(0.0, 10.0) for _ in range(n)]
+    k = fsum(e * d for e, d in zip(noise, dx)) / fsum(d * d for d in dx)
+    return PointCloud.from_columns(xs, [e - (k - 0.0017) * d for e, d in zip(noise, dx)])
+
+
+_SCREEN_CASES = {
+    "integer_line": _integer_line,
+    "x_offset_1e9": _x_offset,
+    "y_offset_1e6_noise_1e-6": _y_offset,
+    "scaled_1e-8": _scaled(1e-8),
+    "scaled_1e8": _scaled(1e8),
+    "weak_correlation": _weak,
+}
+
+
 class TestMatchesScalarReference:
     @pytest.mark.parametrize("name", ["example1_amarante.csv", "example2_infections.csv"])
     def test_demo_datasets(self, name):
@@ -304,3 +351,46 @@ class TestMatchesScalarReference:
         cloud = PointCloud.from_columns(xs, ys)
         box = SearchBox(-4.0, 4.0, -6.0, 6.0, refinement_rounds=rounds)
         assert grid_search_fit(cloud, box) == _reference_grid_search(cloud, box)
+
+    @pytest.mark.parametrize("case", sorted(_SCREEN_CASES))
+    def test_screen_edge_cases(self, case):
+        # Data on which the closed-form height screen could misjudge its own
+        # rounding: zero residuals, large offsets, extreme scales and a flat
+        # objective.  Each box must give the all-fsum outcome.
+        rng = random.Random(407)
+        cloud = _SCREEN_CASES[case](rng, 200)
+        f = fit(cloud)
+        if case == "weak_correlation":
+            assert abs(correlate(f.centered).r) < 0.01
+        for make_box in _BOXES:
+            box = make_box(f.slope, f.intercept)
+            assert _outcome(grid_search_fit, cloud, box) == _outcome(
+                _reference_grid_search, cloud, box
+            ), (case, box)
+
+    def test_rerank_count_on_a_flat_objective(self, monkeypatch):
+        # A weakly correlated cloud puts many grid points close to the
+        # minimum; the screen's bound must keep the exact re-ranking small.
+        calls = []
+        monkeypatch.setattr(oracle, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        rng = random.Random(3)
+        xs = [rng.uniform(0, 1) for _ in range(5000)]
+        ys = [0.01 * x + rng.gauss(0, 10) for x in xs]
+        cloud = PointCloud.from_columns(xs, ys)
+        f = fit(cloud)
+        grid_search_fit(cloud, default_box(f.slope, f.intercept))
+        assert len(calls) <= 20
+
+    def test_deep_refinement(self):
+        # After about 20 rounds the grid cell is below the objective's
+        # rounding noise, so most grid points are near-ties: the exact
+        # re-ranking, not the screen's own rounding, must decide.
+        rng = random.Random(408)
+        for n in (3, 5, 12, 30) * 3:
+            cloud = _corpus_cloud(rng, n)
+            f = fit(cloud)
+            b = skewed_box(f.slope, f.intercept)
+            box = SearchBox(b.a_min, b.a_max, b.b_min, b.b_max, refinement_rounds=26)
+            assert _outcome(grid_search_fit, cloud, box) == _outcome(
+                _reference_grid_search, cloud, box
+            ), (n, box)

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from geomfit.cloud import PointCloud, center
 from geomfit.errors import DegenerateX, TooFewPoints
-from geomfit.regress import fit, fit_slope_centered, predict
+from geomfit.regress import _degenerate_x, fit, fit_slope_centered, predict
 from geomfit.vectors import dot, norm, sub
 
 from conftest import EX1, EX2, random_cloud
@@ -25,6 +26,39 @@ class TestSlope:
         cloud = PointCloud.from_columns([4.0, 4.0, 4.0], [1, 2, 3])
         with pytest.raises(DegenerateX):
             fit_slope_centered(center(cloud))
+
+
+def _generator_degenerate_x(c) -> bool:
+    # The threshold test as first written: a scan of every |x_bar + i|.
+    max_x = max(abs(c.centroid_x + xi) for xi in c.i_vec)
+    return c.sxx <= len(c) * sys.float_info.epsilon * max(1.0, max_x * max_x)
+
+
+class TestDegenerateXThreshold:
+    @pytest.mark.parametrize("offset", [-1e8, -2.5, 2.5, 1e8])
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_matches_generator_scan(self, offset, n):
+        # Spread t*(0, ..., 1) around the offset, so the largest |x| is the
+        # smallest x for a negative offset and the largest x for a positive
+        # one.  Bisect t to where the threshold flips, then scan t in steps
+        # of 2^-30 across it: |x| at the two ends differs by about 1e-8
+        # relative there, so taking the wrong end flips the answer.
+        rng = random.Random(409)
+        shape = [0.0, 1.0] + [rng.random() for _ in range(n - 2)]
+
+        def cloud(t):
+            return center(PointCloud.from_columns([offset + t * u for u in shape], [0.0] * n))
+
+        lo, hi = 0.0, abs(offset)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _generator_degenerate_x(cloud(mid)) else (lo, mid)
+        seen = set()
+        for j in range(-96, 96):
+            c = cloud(hi * (1.0 + j * 2.0**-30))
+            assert _degenerate_x(c) == _generator_degenerate_x(c), (offset, n, j)
+            seen.add(_degenerate_x(c))
+        assert seen == {False, True}
 
 
 class TestFit:
