@@ -7,9 +7,10 @@ Subcommands:
 * ``verify``   -- cross-check the analytic fit against the brute-force search
 * ``examples`` -- write the two bundled demo datasets to disk
 
-Exit codes: 0 success, 2 usage error, 3 data error (parse failure, a
-degenerate cloud, or data whose sums overflow float64 in the fit or the
-``verify`` search), 4 verification failure.
+Exit codes: 0 success, 2 usage error (also a path with a NUL byte, or a plot
+size under 100 px or over the largest float), 3 data error (parse failure, a
+degenerate cloud, sums that overflow float64 in the fit or the ``verify``
+search, or a plot y range that overflows), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataio
@@ -29,7 +29,7 @@ from .oracle import default_box, grid_search_fit
 from .regress import fit
 from .svgplot import MIN_SIZE_PX, render_svg
 
-__all__ = ["Report", "build_report", "render_report", "run", "main"]
+__all__ = ["build_report", "render_report", "run", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,88 +39,61 @@ EXIT_VERIFY = 4
 VERIFY_SLOPE_TOLERANCE = 1e-5
 
 
-@dataclass(frozen=True)
-class Report:
-    n: int
-    centroid_x: float
-    centroid_y: float
-    a: float
-    b: float
-    theta_deg: float
-    r: float
-    correlation_class: str
-    sse: float
-    residual_dot_i_normalized: float
-    ones_dot_i_normalized: float
-    ones_dot_u_normalized: float
-
-    @property
-    def equation(self) -> str:
-        """Presentation-only 4-decimal form of the fitted line."""
-        sign = "+" if self.b >= 0 else "-"
-        return f"y = {self.a:.4f}x {sign} {abs(self.b):.4f}"
+def _equation(a: float, b: float) -> str:
+    """Presentation-only 4-decimal form of the fitted line."""
+    sign = "+" if b >= 0 else "-"
+    return f"y = {a:.4f}x {sign} {abs(b):.4f}"
 
 
-def build_report(cloud: PointCloud) -> Report:
+def build_report(cloud: PointCloud) -> dict:
+    """The fit report as one mapping whose key order is the JSON contract."""
     f = fit(cloud)
     corr = correlate(f.centered)
     diag = orthogonality_report(f)
-    return Report(
-        n=len(cloud),
-        centroid_x=f.centered.centroid_x,
-        centroid_y=f.centered.centroid_y,
-        a=f.slope,
-        b=f.intercept,
-        theta_deg=corr.theta_deg,
-        r=corr.r,
-        correlation_class=corr.cls.value,
-        sse=diag.sse,
-        residual_dot_i_normalized=diag.residual_dot_i_normalized,
-        ones_dot_i_normalized=diag.ones_dot_i_normalized,
-        ones_dot_u_normalized=diag.ones_dot_u_normalized,
-    )
+    return {
+        "n": len(cloud),
+        "centroid_x": f.centered.centroid_x,
+        "centroid_y": f.centered.centroid_y,
+        "a": f.slope,
+        "b": f.intercept,
+        "equation": _equation(f.slope, f.intercept),
+        "theta_deg": corr.theta_deg,
+        "r": corr.r,
+        "class": corr.cls.value,
+        "sse": diag.sse,
+        "residual_dot_i_normalized": diag.residual_dot_i_normalized,
+        "ones_dot_i_normalized": diag.ones_dot_i_normalized,
+        "ones_dot_u_normalized": diag.ones_dot_u_normalized,
+    }
 
 
-def render_report(report: Report, fmt: str = "text") -> str:
+_TEXT_REPORT = """\
+n:          {n}
+centroid:   ({centroid_x:.4f}, {centroid_y:.4f})
+a = {a:.4f}
+b = {b:.4f}
+equation:   {equation}
+theta_deg:  {theta_deg:.2f}
+r:          {r:.6g}
+class:      {class}
+sse:        {sse:.6g}
+residual_dot_i (normalized): {residual_dot_i_normalized:.3e}
+ones_dot_i (normalized):     {ones_dot_i_normalized:.3e}
+ones_dot_u (normalized):     {ones_dot_u_normalized:.3e}
+"""
+
+
+def render_report(report: dict, fmt: str = "text") -> str:
     """Serialize a report deterministically.
 
-    JSON keeps full-precision values in a fixed key order; the text form is
-    rounded for reading (slope/intercept at 4 decimals, angle at 2).
+    JSON keeps full-precision values in the report's key order; the text form
+    is rounded for reading (slope/intercept at 4 decimals, angle at 2).
     """
     if fmt == "json":
-        payload = {
-            "n": report.n,
-            "centroid_x": report.centroid_x,
-            "centroid_y": report.centroid_y,
-            "a": report.a,
-            "b": report.b,
-            "equation": report.equation,
-            "theta_deg": report.theta_deg,
-            "r": report.r,
-            "class": report.correlation_class,
-            "sse": report.sse,
-            "residual_dot_i_normalized": report.residual_dot_i_normalized,
-            "ones_dot_i_normalized": report.ones_dot_i_normalized,
-            "ones_dot_u_normalized": report.ones_dot_u_normalized,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(report, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = [
-        f"n:          {report.n}",
-        f"centroid:   ({report.centroid_x:.4f}, {report.centroid_y:.4f})",
-        f"a = {report.a:.4f}",
-        f"b = {report.b:.4f}",
-        f"equation:   {report.equation}",
-        f"theta_deg:  {report.theta_deg:.2f}",
-        f"r:          {report.r:.6g}",
-        f"class:      {report.correlation_class}",
-        f"sse:        {report.sse:.6g}",
-        f"residual_dot_i (normalized): {report.residual_dot_i_normalized:.3e}",
-        f"ones_dot_i (normalized):     {report.ones_dot_i_normalized:.3e}",
-        f"ones_dot_u (normalized):     {report.ones_dot_u_normalized:.3e}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _TEXT_REPORT.format_map(report)
 
 
 def _column(value: str) -> int | str:
@@ -144,9 +117,16 @@ def _pixels(value: str) -> int:
         size = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
-    if size < MIN_SIZE_PX:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_SIZE_PX} px, got {size}")
+    if not MIN_SIZE_PX <= size <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(
+            f"must be between {MIN_SIZE_PX} and {sys.float_info.max:g} px, got {size}")
     return size
+
+
+def _path(value: str) -> str:
+    if "\x00" in value:
+        raise argparse.ArgumentTypeError("must not contain a NUL byte")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", required=True, help="path to a delimited dataset")
+        p.add_argument("--input", type=_path, required=True, help="path to a delimited dataset")
         p.add_argument("--x-col", type=_column, default=0, help="x column index or header name")
         p.add_argument("--y-col", type=_column, default=1, help="y column index or header name")
         p.add_argument(
@@ -167,13 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a dataset and print a report")
     add_io_options(p_fit)
     p_fit.add_argument("--format", choices=("text", "json"), default="text")
-    p_fit.add_argument("--output", help="write the report here instead of stdout")
+    p_fit.add_argument("--output", type=_path, help="write the report here instead of stdout")
     p_fit.add_argument("--verify", action="store_true",
                        help="also cross-check the slope against the brute-force search")
 
     p_plot = sub.add_parser("plot", help="emit an SVG scatter plot with the fitted line")
     add_io_options(p_plot)
-    p_plot.add_argument("--output", help="write the SVG here instead of stdout")
+    p_plot.add_argument("--output", type=_path, help="write the SVG here instead of stdout")
     p_plot.add_argument("--width", type=_pixels, default=640)
     p_plot.add_argument("--height", type=_pixels, default=480)
 
@@ -181,15 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io_options(p_verify)
 
     p_examples = sub.add_parser("examples", help="write the bundled demo datasets to disk")
-    p_examples.add_argument("--output", default=".", help="directory to write the CSV files into")
+    p_examples.add_argument("--output", type=_path, default=".", help="directory for the CSV files")
 
     return parser
-
-
-def _load_cloud(args: argparse.Namespace) -> PointCloud:
-    content = Path(args.input).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
-    spec = dataio.DatasetSpec(delimiter=args.delimiter, x_col=args.x_col, y_col=args.y_col)
-    return dataio.parse(spec, content)
 
 
 def _verify_fit(cloud: PointCloud, a: float, b: float) -> tuple[bool, float, float]:
@@ -223,14 +197,16 @@ def run(argv: list[str]) -> int:
                 print(f"wrote {out_dir / name}")
             return EXIT_OK
 
-        cloud = _load_cloud(args)
+        content = Path(args.input).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
+        spec = dataio.DatasetSpec(delimiter=args.delimiter, x_col=args.x_col, y_col=args.y_col)
+        cloud = dataio.parse(spec, content)
         if args.command == "fit":
             report = build_report(cloud)
             _emit(render_report(report, args.format), args.output)
             if args.verify:
-                ok, oracle_a, _ = _verify_fit(cloud, report.a, report.b)
+                ok, oracle_a, _ = _verify_fit(cloud, report["a"], report["b"])
                 if not ok:
-                    print(f"verification failed: slope {report.a} vs oracle {oracle_a}",
+                    print(f"verification failed: slope {report['a']} vs oracle {oracle_a}",
                           file=sys.stderr)
                     return EXIT_VERIFY
             return EXIT_OK

@@ -8,9 +8,10 @@ map pixel coordinates back to data coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .cloud import PointCloud
+from .cloud import PointCloud, finite
 from .regress import FitResult, predict
 
 __all__ = ["MIN_SIZE_PX", "PlotFrame", "plot_frame", "render_svg"]
@@ -66,8 +67,11 @@ def plot_frame(cloud: PointCloud, fit_result: FitResult, width: float, height: f
     y_min = min(min(cloud.ys), *line_ys)
     y_max = max(max(cloud.ys), *line_ys)
     y_span = y_max - y_min
-    y_pad = _PAD_FRACTION * y_span if y_span > 0 else 1.0
-    return PlotFrame(width, height, x_lo, x_hi, y_min - y_pad, y_max + y_pad)
+    # A constant y gets a unit pad, or one ulp where |y| >= 2**53 would absorb a unit.
+    y_pad = _PAD_FRACTION * y_span if y_span > 0 else max(1.0, math.ulp(y_max))
+    y_lo, y_hi = y_min - y_pad, y_max + y_pad
+    finite(y_hi - y_lo, "the plot's y range")
+    return PlotFrame(width, height, x_lo, x_hi, y_lo, y_hi)
 
 
 def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480) -> str:

@@ -1,25 +1,33 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geomfit
+from geomfit import cli
 from geomfit.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     build_report,
     render_report,
     run,
 )
 from geomfit.dataio import EXAMPLE_DATASETS, example_csv_text
+from geomfit.regress import fit
 
 from conftest import EX1, EX2
 
@@ -128,13 +136,13 @@ class TestEquationString:
     def test_round_trips_at_four_decimals(self, ex1_cloud):
         report = build_report(ex1_cloud)
         match = re.fullmatch(
-            r"y = (-?\d+\.\d{4})x ([+-]) (\d+\.\d{4})", report.equation
+            r"y = (-?\d+\.\d{4})x ([+-]) (\d+\.\d{4})", report["equation"]
         )
         assert match
         a = float(match.group(1))
         b = float(match.group(3)) * (1 if match.group(2) == "+" else -1)
-        assert a == round(report.a, 4)
-        assert b == round(report.b, 4)
+        assert a == round(report["a"], 4)
+        assert b == round(report["b"], 4)
 
 
 class TestRenderReport:
@@ -145,8 +153,8 @@ class TestRenderReport:
     def test_json_full_precision(self, ex1_cloud):
         report = build_report(ex1_cloud)
         payload = json.loads(render_report(report, "json"))
-        assert payload["a"] == report.a
-        assert payload["r"] == report.r
+        assert payload["a"] == report["a"]
+        assert payload["r"] == report["r"]
 
     def test_unknown_format_rejected(self, ex1_cloud):
         with pytest.raises(ValueError):
@@ -169,6 +177,14 @@ class TestPlotCommand:
             == EXIT_OK
         )
         assert 'width="300"' in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("y", ["1e17", "8.9e307"])
+    def test_constant_y_beyond_a_unit_pad(self, tmp_path, y):
+        # From |y| = 2**53 on, y + 1 rounds back to y; the pad is one ulp there.
+        path, out = tmp_path / "flat.csv", tmp_path / "flat.svg"
+        path.write_text(f"x,y\n0,{y}\n1,{y}\n", encoding="utf-8")
+        assert run(["plot", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert out.read_text(encoding="utf-8").count('cy="230.000"') == 2
 
 
 # ``verify`` stdout on the demo datasets, frozen from the all-fsum scalar
@@ -224,6 +240,31 @@ class TestVerifyCommand:
             assert code == EXIT_DATA
 
 
+class TestVerificationFailure:
+    """A search that disagrees with the analytic slope ends in exit 4."""
+
+    @pytest.fixture(autouse=True)
+    def off_by_one_search(self, monkeypatch):
+        def search(cloud, box):
+            f = fit(cloud)
+            return f.slope + 1.0, f.intercept
+        monkeypatch.setattr(cli, "grid_search_fit", search)
+
+    def test_verify_exits_4(self, ex1_csv, ex1_cloud, capsys):
+        assert run(["verify", "--input", str(ex1_csv)]) == EXIT_VERIFY
+        f = fit(ex1_cloud)
+        captured = capsys.readouterr()
+        assert captured.out == (f"analytic: a = {f.slope!r}, b = {f.intercept!r}\n"
+                                f"search:   a = {f.slope + 1.0!r}, b = {f.intercept!r}\n")
+        assert captured.err == "verification failed\n"
+
+    def test_fit_verify_exits_4_after_the_report(self, ex1_csv, capsys):
+        assert run(["fit", "--input", str(ex1_csv), "--format", "json", "--verify"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        a = json.loads(captured.out)["a"]
+        assert captured.err == f"verification failed: slope {a} vs oracle {a + 1.0}\n"
+
+
 HUGE_Y = "x,y\n1,1e160\n2,2e160\n3,3.5e160\n4,3.9e160\n"
 HUGE_X = "x,y\n1.6e308,1\n1.7e308,2\n1.65e308,3\n"
 
@@ -259,6 +300,14 @@ class TestFloatOverflow:
         path.write_text(HUGE_X, encoding="utf-8")
         assert run(["plot", "--input", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == "error: the sum of x overflows float64\n"
+
+    def test_plot_on_overflowing_y_range_exits_3(self, tmp_path, capsys):
+        # The line at the padded x ends reaches +-9.8e307, so the y range overflows.
+        path, out = tmp_path / "wide_y.csv", tmp_path / "wide_y.svg"
+        path.write_text("x,y\n0,-8.9e307\n1,8.9e307\n", encoding="utf-8")
+        assert run(["plot", "--input", str(path), "--output", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: the plot's y range overflows float64\n"
+        assert not out.exists()
 
 
 def test_fit_and_plot_do_not_import_numpy(tmp_path):
@@ -317,8 +366,11 @@ class TestUsageErrors:
             ["fit", "--delimiter", ";;"],
             ["fit", "--x-col", "0", "--y-col", "0"],
             ["fit", "--x-col", "-1"],
+            ["verify", "--input", "data\x00.csv"],
+            ["plot", "--width", "1" + "0" * 400],
         ],
-        ids=["width", "height", "empty-delimiter", "long-delimiter", "same-column", "negative-column"],
+        ids=["width", "height", "empty-delimiter", "long-delimiter", "same-column",
+             "negative-column", "nul-in-path", "width-above-float-range"],
     )
     def test_rejected_option_values(self, ex1_csv, capsys, argv):
         assert run(argv + ["--input", str(ex1_csv)]) == EXIT_USAGE
@@ -326,3 +378,69 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].startswith("geomfit")
+
+
+_BIG_INT = "1" + "0" * 400  # above the largest float
+_FIELDS = ["8.9e307", "-8.9e307", "1.7e308", "-1.7e308", "1e-320", "nan", "inf", "-inf",
+           "0", "1", "-2.5", "1e160", "x", ""]
+# Each option's ordinary values; one option in four gets one of _ODD_VALUES instead.
+_OPTION_VALUES = {
+    "--input": ["data.csv", "missing.csv", "."],
+    "--output": ["out.txt", "missing/out.txt", "demo"],
+    "--x-col": ["0", "1", "2", "x", "y"],
+    "--y-col": ["0", "1", "2", "x", "y"],
+    "--delimiter": [",", ";", "."],
+    "--format": ["text", "json"],
+    "--width": ["100", "640", "1" + "0" * 300],
+    "--height": ["100", "480", "1" + "0" * 300],
+}
+_ODD_VALUES = ["", "\x00", "data.csv\x00", _BIG_INT, "-1"]
+_COMMAND_OPTIONS = {
+    "fit": ["--x-col", "--y-col", "--delimiter", "--format", "--output", "--verify"],
+    "plot": ["--x-col", "--y-col", "--delimiter", "--output", "--width", "--height"],
+    "verify": ["--x-col", "--y-col", "--delimiter"],
+    "examples": ["--output"],
+}
+_NON_FINITE = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
+
+
+_numeric_rows = st.tuples(
+    st.sampled_from(["", "e-320", "e17", "e307"]),  # x is the row index at this scale
+    st.lists(st.sampled_from(["3", "-2.5", "8.9e307", "-8.9e307", "1e-320", "1e17"]),
+             min_size=2, max_size=4),
+).map(lambda t: [f"{i}{t[0]},{y}" for i, y in enumerate(t[1])])
+_any_rows = st.lists(st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=3).map(",".join),
+                     max_size=5)
+_csv_files = st.tuples(st.booleans(), st.one_of(_numeric_rows, _any_rows)).map(
+    lambda t: (("x,y\n" if t[0] else "") + "\n".join(t[1]) + "\n").encode())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), content=st.one_of(_csv_files, st.binary(max_size=40)))
+def test_any_argv_and_bytes_end_in_a_documented_exit(data, content):
+    """Every argv and file ends in exit 0, 2, 3 or 4 without a traceback."""
+    command = data.draw(st.sampled_from(list(_COMMAND_OPTIONS)))
+    argv = [command] if command == "examples" else [command, "--input", "data.csv"]
+    options = _COMMAND_OPTIONS[command] + ["--input", "--bogus"]
+    for option in data.draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
+        values = _OPTION_VALUES.get(option)
+        if values and data.draw(st.integers(0, 3)) == 3:
+            values = _ODD_VALUES
+        argv += [option, data.draw(st.sampled_from(values))] if values else [option]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # relative paths, and "" as a directory, stay in here
+        try:
+            Path("data.csv").write_bytes(content)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            out_file = Path("out.txt")
+            written = out_file.read_text(encoding="utf-8") if out_file.is_file() else ""
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY), argv
+    if code == EXIT_DATA:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    if code == EXIT_OK:
+        assert not _NON_FINITE.search(out.getvalue() + written), argv
