@@ -7,10 +7,12 @@ Subcommands:
 * ``verify``   -- cross-check the analytic fit against the brute-force search
 * ``examples`` -- write the two bundled demo datasets to disk
 
-Exit codes: 0 success, 2 usage error (also a path with a NUL byte, or a plot
-size under 100 px or over the largest float), 3 data error (parse failure, a
-degenerate cloud, sums that overflow float64 in the fit or the ``verify``
-search, or a plot y range that overflows), 4 verification failure.
+Exit codes: 0 success, 2 usage error (also an empty path or one with a NUL
+byte, or a plot size under 100 px or over the largest float), 3 data error
+(parse failure, a degenerate cloud, sums that overflow float64 in the fit or
+the ``verify`` search, or a plot y range that overflows), 4 verification
+failure (the search disagrees with the analytic slope, or its minimum lies
+at the edge of the box centred on the analytic fit).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import dataio
 from .cloud import PointCloud
 from .correlate import correlate
 from .diagnostics import orthogonality_report
-from .errors import GeomfitError
+from .errors import BoxTooSmall, GeomfitError
 from .oracle import default_box, grid_search_fit
 from .regress import fit
 from .svgplot import MIN_SIZE_PX, render_svg
@@ -124,6 +126,8 @@ def _pixels(value: str) -> int:
 
 
 def _path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
     if "\x00" in value:
         raise argparse.ArgumentTypeError("must not contain a NUL byte")
     return value
@@ -227,6 +231,9 @@ def run(argv: list[str]) -> int:
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command!r}")
+    except BoxTooSmall as exc:  # the search could not confirm the analytic fit
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (GeomfitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

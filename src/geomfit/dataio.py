@@ -6,11 +6,18 @@ Only '.' is accepted as the decimal separator; scientific notation is fine.
 The two demo datasets (monthly temperature vs rainfall, and a 24-day
 infection count series) ship as package data.
 
-The input is read in one pass.  Header detection looks only at the first
-data row, and a data row converts only its two selected fields.  A field
-that ``float`` refuses as it stands, or that is not finite, is stripped and
-converted again, so every field is accepted or rejected as its stripped
-text is.
+The input is split into lines once.  Header detection looks only at the
+first data row, and a row converts only its two selected fields.  Rows are
+converted a chunk at a time: a chunk whose lines all hold the same number
+of delimiters and no ``#`` (the delimiter not ``\\r``) is joined, split once,
+and each selected column converted by one ``map(float, ...)``.  A chunk
+that this refuses (a field ``float`` rejects, a non-finite value, a short
+row, a blank or comment line) goes through the per-row loop, the one
+definition of a data row and the only place that raises, so the first
+error in file order is reported.  The loop strips and converts again a
+field that ``float`` refuses as it stands or that is not finite, so every
+field is accepted or rejected as its stripped text is.  Both paths give
+``float`` the same unstripped text, so values are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cloud import PointCloud
 from .errors import ColumnNotFound, EmptyDataset, ParseError, RaggedRow
@@ -30,6 +36,7 @@ __all__ = [
 ]
 
 EXAMPLE_DATASETS = ("example1_amarante.csv", "example2_infections.csv")
+_CHUNK_ROWS = 4096  # lines per step of the row conversion
 
 
 @dataclass(frozen=True)
@@ -63,9 +70,9 @@ def _try_float(field: str) -> float | None:
     return v
 
 
-def _data_lines(content: str) -> Iterator[tuple[int, str]]:
+def _data_lines(lines: Iterable[str], first_lineno: int = 1) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line) for each line that is neither blank nor a comment."""
-    for lineno, raw in enumerate(content.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=first_lineno):
         line = raw.rstrip("\r")
         head = line.lstrip()
         if head and head[0] != "#":
@@ -78,7 +85,7 @@ def _is_header(line: str, delimiter: str) -> bool:
 
 def auto_detect_header(content: str, delimiter: str = ",") -> bool:
     """True iff the first row contains any field that fails numeric parsing."""
-    for _, line in _data_lines(content):
+    for _, line in _data_lines(content.split("\n")):
         return _is_header(line, delimiter)
     raise EmptyDataset("no rows in input")
 
@@ -101,8 +108,11 @@ def parse(spec: DatasetSpec, content: str) -> PointCloud:
     if not content or content.isspace():
         raise EmptyDataset("input is empty")
     delimiter = spec.delimiter
-    lines = _data_lines(content)
-    first = next(lines, None)
+    lines = content.split("\n")
+    while not lines[-1].strip():  # skipped anyway; they would send a chunk to the row loop
+        lines.pop()
+    rows = _data_lines(lines)
+    first = next(rows, None)
     if first is None:
         raise EmptyDataset("no data rows in input")
 
@@ -113,7 +123,7 @@ def parse(spec: DatasetSpec, content: str) -> PointCloud:
     header = None
     if has_header:
         header = [f.strip() for f in first_line.split(delimiter)]
-        first = next(lines, None)
+        first = next(rows, None)
         if first is None:
             raise EmptyDataset("no data rows after the header")
 
@@ -125,7 +135,49 @@ def parse(spec: DatasetSpec, content: str) -> PointCloud:
     needed = max(ix, iy) + 1
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, line in chain((first,), lines):
+    for lo in range(first[0] - 1, len(lines), _CHUNK_ROWS):
+        chunk = lines[lo:lo + _CHUNK_ROWS]
+        x_col, y_col = (_chunk_columns(chunk, delimiter, ix, iy, needed)
+                        or _row_columns(_data_lines(chunk, lo + 1), delimiter, ix, iy, needed))
+        xs += x_col
+        ys += y_col
+    return PointCloud(xs, ys)
+
+
+def _chunk_columns(chunk: list[str], delimiter: str, ix: int, iy: int,
+                   needed: int) -> tuple[list[float], list[float]] | None:
+    """The chunk's x and y columns, or None when it needs the per-row loop."""
+    if delimiter == "\r":  # a row loses its trailing \r before it is split
+        return None
+    width = chunk[0].count(delimiter) + 1
+    if width < needed:
+        return None
+    # A "\n" field goes between rows.  No line holds a "\n", so the fields
+    # have one after every `width` of them exactly when every row has `width`.
+    text = (delimiter + "\n" + delimiter).join(chunk)
+    if "#" in text:
+        return None
+    fields = text.split(delimiter)
+    step = width + 1
+    rows = len(chunk)
+    if len(fields) != rows * step - 1 or fields[width::step].count("\n") != rows - 1:
+        return None
+    try:
+        xs = list(map(float, fields[ix::step]))
+        ys = list(map(float, fields[iy::step]))
+    except ValueError:
+        return None
+    if all(map(math.isfinite, xs)) and all(map(math.isfinite, ys)):
+        return xs, ys
+    return None
+
+
+def _row_columns(rows: Iterator[tuple[int, str]], delimiter: str, ix: int, iy: int,
+                 needed: int) -> tuple[list[float], list[float]]:
+    """The x and y columns of the rows, one row at a time."""
+    xs: list[float] = []
+    ys: list[float] = []
+    for lineno, line in rows:
         fields = line.split(delimiter)
         if len(fields) < needed:
             raise RaggedRow(lineno, len(fields), needed)
@@ -138,7 +190,7 @@ def parse(spec: DatasetSpec, content: str) -> PointCloud:
             x, y = (_stripped_value(fields, col, lineno) for col in (ix, iy))
         xs.append(x)
         ys.append(y)
-    return PointCloud(xs, ys)
+    return xs, ys
 
 
 def _stripped_value(fields: list[str], col_index: int, lineno: int) -> float:

@@ -21,8 +21,9 @@ price all heights at once.  Every grid point whose value could, within a
 rigorous rounding bound, be the smallest is re-ranked with exactly rounded
 ``fsum`` evaluations, so the chosen point is the one an all-``fsum`` scan
 would choose.  The parabola polish is evaluated with ``fsum`` on the raw
-data.  Data whose squared deviations overflow float64 raise
-:class:`ObjectiveOverflow`.
+data, its squares taken by ``np.float_power``, which calls the same C
+library ``pow`` as Python's ``**``.  Data whose squared deviations overflow
+float64 raise :class:`ObjectiveOverflow`.
 """
 
 from __future__ import annotations
@@ -101,11 +102,12 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
 
         def objective(a: float, c: float) -> float:
             # Line through (x_bar, c) with slope a, evaluated on raw data.  The
-            # residuals are bit-identical to scalar arithmetic; the squares go
-            # through Python's ``**`` (libm pow), as a scalar evaluation does.
+            # residuals are bit-identical to scalar arithmetic, and
+            # ``np.float_power`` squares them with the C library's ``pow``, as
+            # Python's ``**`` does (``np.square`` rounds x*x, which differs).
             try:
-                value = fsum([r ** 2 for r in (ys - a * dx - c).tolist()])
-            except OverflowError:
+                value = fsum(np.float_power(ys - a * dx - c, 2.0).tolist())
+            except OverflowError:  # fsum's intermediate sum overflowed
                 value = inf
             return finite(value, _OBJECTIVE)
 

@@ -27,6 +27,7 @@ from geomfit.cli import (
     run,
 )
 from geomfit.dataio import EXAMPLE_DATASETS, example_csv_text
+from geomfit.errors import BoxTooSmall
 from geomfit.regress import fit
 
 from conftest import EX1, EX2
@@ -265,6 +266,30 @@ class TestVerificationFailure:
         assert captured.err == f"verification failed: slope {a} vs oracle {a + 1.0}\n"
 
 
+class TestSearchBoxTooSmall:
+    """A search minimum at the edge of its box could not confirm the fit: exit 4."""
+
+    REASON = "minimum at a=2.0 is outside or hugging the slope bounds"
+
+    @pytest.fixture(autouse=True)
+    def edge_minimum(self, monkeypatch):
+        def search(cloud, box):
+            raise BoxTooSmall(self.REASON)
+        monkeypatch.setattr(cli, "grid_search_fit", search)
+
+    def test_verify_exits_4(self, ex1_csv, capsys):
+        assert run(["verify", "--input", str(ex1_csv)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verification failed: {self.REASON}\n"
+
+    def test_fit_verify_exits_4_after_the_report(self, ex1_csv, capsys):
+        assert run(["fit", "--input", str(ex1_csv), "--format", "json", "--verify"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["n"] == 12
+        assert captured.err == f"verification failed: {self.REASON}\n"
+
+
 HUGE_Y = "x,y\n1,1e160\n2,2e160\n3,3.5e160\n4,3.9e160\n"
 HUGE_X = "x,y\n1.6e308,1\n1.7e308,2\n1.65e308,3\n"
 
@@ -368,12 +393,19 @@ class TestUsageErrors:
             ["fit", "--x-col", "-1"],
             ["verify", "--input", "data\x00.csv"],
             ["plot", "--width", "1" + "0" * 400],
+            ["verify", "--input", ""],
+            ["fit", "--output", ""],
+            ["plot", "--output", ""],
+            ["examples", "--output", ""],
         ],
         ids=["width", "height", "empty-delimiter", "long-delimiter", "same-column",
-             "negative-column", "nul-in-path", "width-above-float-range"],
+             "negative-column", "nul-in-path", "width-above-float-range", "empty-input",
+             "empty-fit-output", "empty-plot-output", "empty-examples-output"],
     )
     def test_rejected_option_values(self, ex1_csv, capsys, argv):
-        assert run(argv + ["--input", str(ex1_csv)]) == EXIT_USAGE
+        if argv[0] != "examples":  # examples takes no --input
+            argv = argv + ["--input", str(ex1_csv)]
+        assert run(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
@@ -429,7 +461,7 @@ def test_any_argv_and_bytes_end_in_a_documented_exit(data, content):
         argv += [option, data.draw(st.sampled_from(values))] if values else [option]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
-        os.chdir(workdir)  # relative paths, and "" as a directory, stay in here
+        os.chdir(workdir)  # relative paths stay in here
         try:
             Path("data.csv").write_bytes(content)
             out, err = io.StringIO(), io.StringIO()

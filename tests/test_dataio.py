@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geomfit import dataio
 from geomfit.cloud import PointCloud
 from geomfit.dataio import (
     DatasetSpec,
@@ -298,13 +299,27 @@ def _specs(draw, delimiter):
     return DatasetSpec(delimiter=delimiter, has_header=has_header, x_col=x_col, y_col=y_col)
 
 
+def _matches_reference(data):
+    delimiter, content = data.draw(_documents())
+    spec = data.draw(_specs(delimiter))
+    assert _outcome(parse, spec, content) == _outcome(_reference_parse, spec, content)
+
+
 class TestMatchesReferenceParser:
     @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_parse(self, data):
-        delimiter, content = data.draw(_documents())
-        spec = data.draw(_specs(delimiter))
-        assert _outcome(parse, spec, content) == _outcome(_reference_parse, spec, content)
+        _matches_reference(data)
+
+    # Chunks of 2 and 3 lines put chunk boundaries inside the documents, so
+    # the fast path and the per-row loop meet in every order.
+    @pytest.mark.parametrize("chunk_rows", [2, 3])
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_parse_across_chunks(self, data, chunk_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_CHUNK_ROWS", chunk_rows)
+            _matches_reference(data)
 
     @settings(max_examples=300, deadline=None)
     @given(_documents())
@@ -332,3 +347,57 @@ class TestMatchesReferenceParser:
         assert _outcome(parse, DatasetSpec(), content) == _outcome(
             _reference_parse, DatasetSpec(), content
         )
+
+
+# Documents that span several two-line chunks, each with one line or field
+# that the chunk fast path must refuse or get right, and the points or the
+# (error, line, column) that parsing them gives.
+_MULTI_CHUNK = {
+    "numeric-comment": (DatasetSpec(x_col=1, y_col=3),
+                        "n,x,b,y\n0,1,2,3\n4,5,6,7\n# n,1,2,3\n8,9,10,11\n12,13,14,15\n",
+                        [(1.0, 3.0), (5.0, 7.0), (9.0, 11.0), (13.0, 15.0)]),
+    "blank-line": (DatasetSpec(), "1,2\n3,4\n5,6\n\n7,8\n9,10\n",
+                   [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0), (9.0, 10.0)]),
+    "tab-only-line": (DatasetSpec(delimiter="\t"), "1\t2\n3\t4\n5\t6\n\t\n7\t8\n",
+                      [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0)]),
+    "crlf": (DatasetSpec(), "x,y\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n",
+             [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0)]),
+    "cr-delimiter": (DatasetSpec(delimiter="\r"), "x\ry\n1\r2\n3\r4\r\n5\r6\r\r\n7\r\n",
+                     (RaggedRow, 5, None)),
+    # the first three rows have as many fields as three rows of three
+    "unequal-extra-fields": (DatasetSpec(), "1,2,3\n4,5\n6,7,8,9\n10,11\n12,13,14\n",
+                             [(1.0, 2.0), (4.0, 5.0), (6.0, 7.0), (10.0, 11.0), (12.0, 13.0)]),
+    "nan-later": (DatasetSpec(), "x,y\n1,2\n3,4\n5,6\n7,nan\n", (ParseError, 5, 2)),
+    "inf-later": (DatasetSpec(), "x,y\n1,2\n3,4\n5,6\n-inf,8\n", (ParseError, 5, 1)),
+    "ragged-later": (DatasetSpec(), "1,2\n3,4\n5,6\n7,8\n9\n11,12\n", (RaggedRow, 5, None)),
+    "bad-value-then-ragged": (DatasetSpec(), "1,2\n3,4\n5,x\n7,8\n9\n", (ParseError, 3, 2)),
+    "control-padded-field": (DatasetSpec(), "1,2\n3,4\n5,\x1c6\n7,8\n",
+                             [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0)]),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 3])
+@pytest.mark.parametrize("case", sorted(_MULTI_CHUNK))
+def test_multi_chunk_documents(monkeypatch, case, chunk_rows):
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk_rows)
+    spec, content, expected = _MULTI_CHUNK[case]
+    got = _outcome(parse, spec, content)
+    assert got == _outcome(_reference_parse, spec, content)
+    if isinstance(expected, tuple):
+        assert got[1:2] + got[3:] == expected
+    else:
+        cloud = parse(spec, content)
+        assert list(zip(cloud.xs, cloud.ys)) == expected
+
+
+def test_clean_chunks_skip_the_row_loop(monkeypatch):
+    # Equal-width numeric rows, also with CRLF endings and a trailing blank
+    # line, convert without the per-row loop.
+    def row_loop(*args):
+        raise AssertionError("per-row loop used")
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(dataio, "_row_columns", row_loop)
+    for ending in ("\n", "\r\n"):
+        content = "id,x,y" + "".join(f"{ending}{i},{i / 8!r},{-i}" for i in range(10)) + ending * 2
+        cloud = parse(DatasetSpec(x_col="x", y_col="y"), content)
+        assert cloud.xs == [i / 8 for i in range(10)] and cloud.ys == [-i for i in range(10)]

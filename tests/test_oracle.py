@@ -295,6 +295,22 @@ _SCREEN_CASES = {
 }
 
 
+def test_float_power_squares_as_python_pow():
+    # The polish squares its residuals with np.float_power so that they stay
+    # bit-identical to the ``**`` of _reference_grid_search; np.square rounds
+    # x*x and differs from pow in the last bit on some values.
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(2021)
+    n = 200_000
+    signs = rng.choice([-1.0, 1.0], n)
+    values = np.ldexp(signs * rng.uniform(0.5, 1.0, n), rng.integers(-1074, 512, n))
+    values = np.concatenate([values, [5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-310, 1e154]])
+    squares = np.float_power(values, 2.0)
+    expected = np.array([v ** 2 for v in values.tolist()])
+    differ = np.flatnonzero(squares.view(np.int64) != expected.view(np.int64))
+    assert differ.size == 0, values[differ[:5]].tolist()
+
+
 class TestMatchesScalarReference:
     @pytest.mark.parametrize("name", ["example1_amarante.csv", "example2_infections.csv"])
     def test_demo_datasets(self, name):
