@@ -18,6 +18,7 @@ at the edge of the box centred on the analytic fit).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -133,6 +134,7 @@ def _path(value: str) -> str:
     return value
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geomfit",

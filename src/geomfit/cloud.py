@@ -41,9 +41,10 @@ def _column(values: Iterable[float]) -> list[float]:
     col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
     if not col:
         raise ValueError("a vector needs at least one component")
-    if not all(map(math.isfinite, col)):
-        k = next(k for k, c in enumerate(col) if not math.isfinite(c))
-        raise ValueError(f"component {k} is not finite: {col[k]!r}")
+    if not math.isfinite(sum(col)):  # a nan or an inf, or an overflow the scan lets pass
+        for k, c in enumerate(col):
+            if not math.isfinite(c):
+                raise ValueError(f"component {k} is not finite: {c!r}")
     return col
 
 

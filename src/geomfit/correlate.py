@@ -91,11 +91,8 @@ def r_textbook(cloud: PointCloud) -> float:
     return max(-1.0, min(1.0, num / math.sqrt(var_x * var_y)))
 
 
-def classify(theta_deg: float) -> CorrelationClass:
-    """Map a correlation angle to its qualitative band."""
-    if not 0.0 <= theta_deg <= 180.0:
-        raise ValueError(f"angle out of range [0, 180]: {theta_deg}")
-    r = math.cos(math.radians(theta_deg))
+def _band(r: float) -> CorrelationClass:
+    """The qualitative band of a correlation coefficient."""
     mag = abs(r)
     if mag <= NULL_THRESHOLD:
         return CorrelationClass.NULL
@@ -107,8 +104,14 @@ def classify(theta_deg: float) -> CorrelationClass:
     return CorrelationClass.WEAK_POSITIVE if positive else CorrelationClass.WEAK_NEGATIVE
 
 
+def classify(theta_deg: float) -> CorrelationClass:
+    """Map a correlation angle to its qualitative band."""
+    if not 0.0 <= theta_deg <= 180.0:
+        raise ValueError(f"angle out of range [0, 180]: {theta_deg}")
+    return _band(math.cos(math.radians(theta_deg)))
+
+
 def correlate(c: CenteredCloud) -> CorrelationResult:
-    """Angle, coefficient, and qualitative class in one bundle."""
+    """Angle, coefficient, and the coefficient's own band in one bundle."""
     r = r_cosine(c)
-    t = math.degrees(math.acos(r))
-    return CorrelationResult(theta_deg=t, r=r, cls=classify(t))
+    return CorrelationResult(theta_deg=math.degrees(math.acos(r)), r=r, cls=_band(r))

@@ -10,14 +10,17 @@ The input is split into lines once.  Header detection looks only at the
 first data row, and a row converts only its two selected fields.  Rows are
 converted a chunk at a time: a chunk whose lines all hold the same number
 of delimiters and no ``#`` (the delimiter not ``\\r``) is joined, split once,
-and each selected column converted by one ``map(float, ...)``.  A chunk
-that this refuses (a field ``float`` rejects, a non-finite value, a short
-row, a blank or comment line) goes through the per-row loop, the one
-definition of a data row and the only place that raises, so the first
-error in file order is reported.  The loop strips and converts again a
-field that ``float`` refuses as it stands or that is not finite, so every
-field is accepted or rejected as its stripped text is.  Both paths give
-``float`` the same unstripped text, so values are bit-identical.
+and each selected column converted by one ``map(float, ...)``.  Each column
+is tested finite by one C-level ``sum``, which a nan or an inf always makes
+non-finite.  A chunk that this refuses (a field ``float`` rejects, a column
+sum that is not finite, a short row, a blank or comment line) goes through
+the per-row loop, the one definition of a data row and the only place that
+raises, so the first error in file order is reported.  A chunk of finite
+values whose sum overflows takes the loop too, which accepts it.  The loop
+strips and converts again a field that ``float`` refuses as it stands or
+that is not finite, so every field is accepted or rejected as its stripped
+text is.  Both paths give ``float`` the same unstripped text, so values are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def _chunk_columns(chunk: list[str], delimiter: str, ix: int, iy: int,
         ys = list(map(float, fields[iy::step]))
     except ValueError:
         return None
-    if all(map(math.isfinite, xs)) and all(map(math.isfinite, ys)):
+    if math.isfinite(sum(xs)) and math.isfinite(sum(ys)):  # no nan or inf, nor an overflow
         return xs, ys
     return None
 

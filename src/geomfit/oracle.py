@@ -22,8 +22,10 @@ rigorous rounding bound, be the smallest is re-ranked with exactly rounded
 ``fsum`` evaluations, so the chosen point is the one an all-``fsum`` scan
 would choose.  The parabola polish is evaluated with ``fsum`` on the raw
 data, its squares taken by ``np.float_power``, which calls the same C
-library ``pow`` as Python's ``**``.  Data whose squared deviations overflow
-float64 raise :class:`ObjectiveOverflow`.
+library ``pow`` as Python's ``**``.  Every exact evaluation, re-ranking or
+polish, runs in one work buffer allocated once per search, and ``fsum``
+reads it through a ``memoryview``, with no list built.  Data whose squared
+deviations overflow float64 raise :class:`ObjectiveOverflow`.
 """
 
 from __future__ import annotations
@@ -99,14 +101,19 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
         x_bar = fsum(cloud.xs) / n
         ys = np.array(cloud.ys, dtype=float)
         dx = np.array(cloud.xs, dtype=float) - x_bar
+        res = np.empty(n)  # the objective's work buffer
 
         def objective(a: float, c: float) -> float:
             # Line through (x_bar, c) with slope a, evaluated on raw data.  The
             # residuals are bit-identical to scalar arithmetic, and
             # ``np.float_power`` squares them with the C library's ``pow``, as
             # Python's ``**`` does (``np.square`` rounds x*x, which differs).
+            np.multiply(dx, a, out=res)
+            np.subtract(ys, res, out=res)
+            np.subtract(res, c, out=res)
+            np.float_power(res, 2.0, out=res)
             try:
-                value = fsum(np.float_power(ys - a * dx - c, 2.0).tolist())
+                value = fsum(memoryview(res))
             except OverflowError:  # fsum's intermediate sum overflowed
                 value = inf
             return finite(value, _OBJECTIVE)

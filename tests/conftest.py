@@ -37,13 +37,19 @@ EX2 = {
 }
 
 
-def exact_fit(cloud: PointCloud) -> tuple[float, float]:
-    """Least-squares slope and intercept in exact rational arithmetic."""
+def exact_line(cloud: PointCloud) -> tuple[Fraction, Fraction, Fraction]:
+    """Least-squares slope, intercept and mean x, exact as rationals."""
     xs, ys = [Fraction(x) for x in cloud.xs], [Fraction(y) for y in cloud.ys]
     x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
     sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
     slope = sxy / sum((x - x_bar) ** 2 for x in xs)
-    return float(slope), float(y_bar - slope * x_bar)
+    return slope, y_bar - slope * x_bar, x_bar
+
+
+def exact_fit(cloud: PointCloud) -> tuple[float, float]:
+    """Least-squares slope and intercept in exact rational arithmetic, rounded."""
+    slope, intercept, _ = exact_line(cloud)
+    return float(slope), float(intercept)
 
 
 # example 1's slope and intercept, (-9.706900304280843, 226.4556658970737)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -31,6 +32,8 @@ from geomfit.errors import BoxTooSmall
 from geomfit.regress import fit
 
 from conftest import EX1, EX2
+
+_SRC = Path(geomfit.__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -353,10 +356,47 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     assert run(["verify", "--input", {str(csv)!r}]) == 0
 assert "verification passed" in out.getvalue()
 """
-    src = Path(geomfit.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(_SRC)})
     assert proc.returncode == 0, proc.stderr
+
+
+def _fresh_run(*command: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a command in a new interpreter on this tree."""
+    proc = subprocess.run([sys.executable, *command], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(_SRC)})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_runs_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
+    # The parser is built once per process; every later call must still
+    # behave as that call does when it runs first in a new interpreter.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
+    csv = tmp_path / "example1_amarante.csv"
+    csv.write_text(example_csv_text("example1_amarante.csv"), encoding="utf-8")
+    calls = [
+        ["fit", "--input", str(csv), "--x-col", "1", "--y-col", "1"],
+        ["fit", "--format", "json", "--x-col", "1", "--y-col", "0", "--input", str(csv)],
+        ["fit", "--input", str(csv)],
+        ["plot", "--width", "200", "--input", str(csv)],
+        ["verify", "--input", str(csv)],
+        ["examples", "--output", str(tmp_path / "demo")],
+    ]
+    script = "import sys; from geomfit.cli import run; sys.exit(run(sys.argv[1:]))"
+    codes = []
+    for argv in calls:
+        codes.append(run(argv))
+        captured = capsys.readouterr()
+        assert (codes[-1], captured.out, captured.err) == _fresh_run("-c", script, *argv), argv
+    assert codes == [EXIT_USAGE] + [EXIT_OK] * 5
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_python_dash_m_runs_the_cli(ex1_csv, capsys):
+    argv = ["fit", "--input", str(ex1_csv)]
+    assert run(argv) == EXIT_OK
+    assert _fresh_run("-m", "geomfit", *argv) == (EXIT_OK, capsys.readouterr().out, "")
 
 
 class TestExamplesCommand:

@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from geomfit.cloud import PointCloud, center
+from geomfit.cloud import CenteredCloud, PointCloud, center
 from geomfit.correlate import (
     CorrelationClass,
     classify,
@@ -131,6 +132,49 @@ class TestCorrelate:
         for _ in range(100):
             res = correlate(center(random_cloud(rng)))
             assert abs(res.r - math.cos(math.radians(res.theta_deg))) <= 1e-12
+
+
+def _cloud_with_r(r: float) -> CenteredCloud:
+    """A centered cloud with Sxx = Syy = 1 exactly, so that its r is Sxy = r."""
+    # u = (r, s, e): s leaves a deficit 1 - r*r - s*s >= 0 (the rounded
+    # products fsum adds), and e*e makes it up to far below half an ulp of 1.
+    s = math.sqrt(1.0 - r * r)
+    while Fraction(r * r) + Fraction(s * s) > 1:
+        s = math.nextafter(s, 0.0)
+    e = math.sqrt(1 - Fraction(r * r) - Fraction(s * s))
+    c = CenteredCloud(0.0, 0.0, [1.0, 0.0, 0.0], [r, s, e])
+    assert (c.sxx, c.syy, c.sxy) == (1.0, 1.0, r)
+    return c
+
+
+_C = CorrelationClass
+# Each band cutoff on |r|, with the classes of the double below it, of the
+# cutoff itself and of the double above it, for r > 0 and for r < 0.
+_CUTOFF_CASES = [
+    (sign * r, cls)
+    for sign, weak, strong, total in ((1.0, _C.WEAK_POSITIVE, _C.STRONG_POSITIVE, _C.TOTAL_POSITIVE),
+                                      (-1.0, _C.WEAK_NEGATIVE, _C.STRONG_NEGATIVE, _C.TOTAL_NEGATIVE))
+    for cutoff, classes in ((0.005, (_C.NULL, _C.NULL, weak)),
+                            (0.8, (weak, strong, strong)),
+                            (0.999, (strong, total, total)))
+    for r, cls in zip((math.nextafter(cutoff, 0.0), cutoff, math.nextafter(cutoff, 1.0)), classes)
+]
+
+
+class TestCorrelateAtCutoffs:
+    """The class is the band of the reported r, not of r sent through the angle."""
+
+    @pytest.mark.parametrize("r, expected", _CUTOFF_CASES, ids=[repr(r) for r, _ in _CUTOFF_CASES])
+    def test_class_agrees_with_r(self, r, expected):
+        res = correlate(_cloud_with_r(r))
+        assert res.r == r
+        assert res.cls is expected
+
+    def test_doubles_just_past_the_null_cutoff_are_weak(self):
+        r = 0.005
+        for _ in range(200):
+            r = math.nextafter(r, 1.0)
+            assert correlate(_cloud_with_r(r)).cls is CorrelationClass.WEAK_POSITIVE, r
 
 
 class TestEquivalenceAndInvariance:

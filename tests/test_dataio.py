@@ -373,6 +373,9 @@ _MULTI_CHUNK = {
     "bad-value-then-ragged": (DatasetSpec(), "1,2\n3,4\n5,x\n7,8\n9\n", (ParseError, 3, 2)),
     "control-padded-field": (DatasetSpec(), "1,2\n3,4\n5,\x1c6\n7,8\n",
                              [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0)]),
+    # finite values whose column sum overflows in every chunk
+    "overflowing-sum": (DatasetSpec(), "x,y\n1,1.7e308\n2,1.7e308\n3,-1.7e308\n4,-1.7e308\n",
+                        [(1.0, 1.7e308), (2.0, 1.7e308), (3.0, -1.7e308), (4.0, -1.7e308)]),
 }
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from geomfit.errors import DegenerateX, TooFewPoints
 from geomfit.regress import _degenerate_x, fit, fit_slope_centered, predict
 from geomfit.vectors import dot, norm, sub
 
-from conftest import EX1, EX2, random_cloud
+from conftest import EX1, EX2, exact_line, random_cloud
 
 
 class TestSlope:
@@ -160,3 +161,44 @@ class TestFitProperties:
         f = fit(PointCloud.from_pairs([(0, 0), (0, 0), (1, 1)]))
         # duplicated origin pulls the line toward it
         assert f.slope == pytest.approx(1.0, abs=1e-12)
+
+
+class TestInterceptAccuracy:
+    """b = y_bar - a*x_bar is accurate relative to |b*| + |a* x_bar|, not |b*|.
+
+    Write b*, a* and x_bar* for the exact least-squares values.  The fit takes
+    six roundings, each a relative error of at most u = 2^-53: two for y_bar
+    (the correctly rounded fsum, then the division by n), two for x_bar, one
+    for a*x_bar and one for the subtraction.  With y_bar* = b* + a* x_bar*,
+    to first order in u they contribute
+      y_bar, 2 roundings:  2u|y_bar*| <= 2u(|b*| + |a* x_bar*|)
+      x_bar, 2 roundings:  2u|a* x_bar*|
+      a*x_bar, 1 rounding: u|a* x_bar*|
+      subtraction, 1:      u|b*|
+    on top of |a - a*| |x_bar*|, the slope's own error carried by x_bar.  The
+    sum, 3u|b*| + 5u|a* x_bar*|, is within k = 6 times u(|b*| + |a* x_bar*|),
+    and the slack of u|a* x_bar*| covers the second-order terms (u times the
+    slope's relative error, and u^2).
+    """
+
+    K = 6
+
+    @staticmethod
+    def _offset_cloud(rng: random.Random, offset: float) -> PointCloud:
+        n = rng.randint(2, 60)
+        xs = [offset + rng.uniform(0.0, 100.0) for _ in range(n)]
+        a, b = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+        return PointCloud.from_columns(xs, [a * x + b + rng.gauss(0.0, 0.5 * abs(a)) for x in xs])
+
+    @pytest.mark.parametrize("offset", [None, 1e8], ids=["plain", "offset-1e8"])
+    def test_bound(self, offset):
+        rng = random.Random(105)
+        u = Fraction(2) ** -53
+        for _ in range(100):
+            cloud = random_cloud(rng) if offset is None else self._offset_cloud(rng, offset)
+            f = fit(cloud)
+            a_star, b_star, x_bar = exact_line(cloud)
+            error = abs(f.intercept - b_star)
+            bound = abs(f.slope - a_star) * abs(x_bar) + self.K * u * (
+                abs(b_star) + abs(a_star * x_bar))
+            assert error <= bound, (error / bound, cloud)
