@@ -42,8 +42,8 @@ class TestPointCloud:
         ([], [], "a vector needs at least one component"),
         ([1.0, math.inf], [1.0, 2.0], "component 1 is not finite: inf"),
         ([1.0, 2.0], [math.nan, 2.0], "component 0 is not finite: nan"),
-        ([1.7e308, 1.7e308, -math.inf], [1.0, 2.0, 3.0], "component 2 is not finite: -inf"),
         ([1.0, 2.0], [1.0], "xs and ys must have equal length, got 2 and 1"),
+        ([1.7e308, 1.7e308, -math.inf], [1.0, 2.0, 3.0], "component 2 is not finite: -inf"),
     ])
     def test_validated_at_construction(self, xs, ys, message):
         with pytest.raises(ValueError, match=re.escape(message)):
