@@ -30,7 +30,7 @@ from .diagnostics import orthogonality_report
 from .errors import BoxTooSmall, GeomfitError
 from .oracle import default_box, grid_search_fit
 from .regress import fit
-from .svgplot import MIN_SIZE_PX, render_svg
+from .svgplot import MAX_SIZE_PX, MIN_SIZE_PX, render_svg, size_ok
 
 __all__ = ["build_report", "render_report", "run", "main"]
 
@@ -120,9 +120,9 @@ def _pixels(value: str) -> int:
         size = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
-    if not MIN_SIZE_PX <= size <= sys.float_info.max:
+    if not size_ok(size):
         raise argparse.ArgumentTypeError(
-            f"must be between {MIN_SIZE_PX} and {sys.float_info.max:g} px, got {size}")
+            f"must be between {MIN_SIZE_PX} and {MAX_SIZE_PX:g} px, got {size}")
     return size
 
 

@@ -4,19 +4,26 @@ Byte-identical output for identical inputs: coordinates are formatted with a
 fixed number of decimals and nothing depends on dict ordering, locale, or
 time.  The data-to-pixel transform is exposed so consumers (and tests) can
 map pixel coordinates back to data coordinates.
+
+The renderer scans each column for its min and max once; the same four
+extrema size the frame and print as the tick labels.  The circles are
+formatted a block of ``_BLOCK_POINTS`` at a time, by one ``%`` against a
+template of that many circle lines, rather than by one ``%`` per point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .cloud import PointCloud, finite
 from .regress import FitResult, predict
 
-__all__ = ["MIN_SIZE_PX", "PlotFrame", "plot_frame", "render_svg"]
+__all__ = ["MIN_SIZE_PX", "MAX_SIZE_PX", "PlotFrame", "plot_frame", "render_svg", "size_ok"]
 
 MIN_SIZE_PX = 100  # smallest accepted width and height
+MAX_SIZE_PX = sys.float_info.max  # largest; anything bigger is not a finite float
 
 _MARGIN_LEFT = 55.0
 _MARGIN_RIGHT = 15.0
@@ -24,6 +31,14 @@ _MARGIN_TOP = 15.0
 _MARGIN_BOTTOM = 35.0
 _PAD_FRACTION = 0.05
 _POINT_RADIUS = 3.0
+_CIRCLE = (f'<circle cx="%.3f" cy="%.3f" r="{_POINT_RADIUS}" '
+           'fill="steelblue" fill-opacity="0.8"/>')
+_BLOCK_POINTS = 4096  # circles formatted by one % call
+
+
+def size_ok(size: float) -> bool:
+    """True for an accepted width or height; NaN and the infinities fail."""
+    return MIN_SIZE_PX <= size <= MAX_SIZE_PX
 
 
 @dataclass(frozen=True)
@@ -56,16 +71,25 @@ class PlotFrame:
         return x, y
 
 
+def _extrema(cloud: PointCloud) -> tuple[float, float, float, float]:
+    """(min x, max x, min y, max y) of the data."""
+    return min(cloud.xs), max(cloud.xs), min(cloud.ys), max(cloud.ys)
+
+
 def plot_frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float) -> PlotFrame:
     """Viewport covering the points and the clipped fitted line, padded 5%."""
-    x_min, x_max = min(cloud.xs), max(cloud.xs)
+    return _frame(fit_result, width, height, *_extrema(cloud))
+
+
+def _frame(fit_result: FitResult, width: float, height: float,
+           x_min: float, x_max: float, y_min: float, y_max: float) -> PlotFrame:
     x_span = x_max - x_min
     x_pad = _PAD_FRACTION * x_span if x_span > 0 else 1.0
     x_lo, x_hi = x_min - x_pad, x_max + x_pad
 
     line_ys = (predict(fit_result, x_lo), predict(fit_result, x_hi))
-    y_min = min(min(cloud.ys), *line_ys)
-    y_max = max(max(cloud.ys), *line_ys)
+    y_min = min(y_min, *line_ys)
+    y_max = max(y_max, *line_ys)
     y_span = y_max - y_min
     # A constant y gets a unit pad, or one ulp where |y| >= 2**53 would absorb a unit.
     y_pad = _PAD_FRACTION * y_span if y_span > 0 else max(1.0, math.ulp(y_max))
@@ -77,11 +101,17 @@ def plot_frame(cloud: PointCloud, fit_result: FitResult, width: float, height: f
 def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480) -> str:
     """SVG document: one circle per point, the fitted line, min/max axis ticks.
 
-    Pixel coordinates are printed as "%.3f" and tick labels as "%.6g".
+    Pixel coordinates are printed as "%.3f" and tick labels as "%.6g".  The
+    min and max of each column are found once and feed both the frame and
+    the tick labels, which print the data's extrema (not the padded range
+    the fitted line may widen).  Circles are formatted ``_BLOCK_POINTS`` at
+    a time by one ``%`` each; the last block gets a shorter template.
+    Raises ValueError unless ``size_ok`` holds for width and height.
     """
-    if width < MIN_SIZE_PX or height < MIN_SIZE_PX:
-        raise ValueError(f"width and height must be at least {MIN_SIZE_PX} px")
-    frame = plot_frame(cloud, fit_result, float(width), float(height))
+    if not (size_ok(width) and size_ok(height)):
+        raise ValueError(f"width and height must be between {MIN_SIZE_PX} and {MAX_SIZE_PX:g} px")
+    x_min, x_max, y_min, y_max = _extrema(cloud)
+    frame = _frame(fit_result, float(width), float(height), x_min, x_max, y_min, y_max)
     ox, oy = _MARGIN_LEFT, float(height) - _MARGIN_BOTTOM
     line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="%s"/>'
     parts = [
@@ -95,9 +125,9 @@ def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
 
     # Min/max tick labels in data coordinates.
     tick = '<text x="%.3f" y="%.3f" font-size="11" text-anchor="%s">%.6g</text>'
-    for xv in (min(cloud.xs), max(cloud.xs)):
+    for xv in (x_min, x_max):
         parts.append(tick % (frame.to_px(xv, frame.y_lo)[0], oy + 18.0, "middle", xv))
-    for yv in (min(cloud.ys), max(cloud.ys)):
+    for yv in (y_min, y_max):
         parts.append(tick % (ox - 6.0, frame.to_px(frame.x_lo, yv)[1] + 4.0, "end", yv))
 
     # Fitted line clipped to the padded x-range.
@@ -107,12 +137,17 @@ def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
     # Points in file order; frame.to_px inlined for speed, in its operation order.
     x_lo, x_span, plot_w = frame.x_lo, frame.x_hi - frame.x_lo, frame.plot_width
     y_hi, y_span, plot_h = frame.y_hi, frame.y_hi - frame.y_lo, frame.plot_height
-    circle = (f'<circle cx="%.3f" cy="%.3f" r="{_POINT_RADIUS}" '
-              'fill="steelblue" fill-opacity="0.8"/>')
-    parts.extend(
-        circle % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
-                  _MARGIN_TOP + (y_hi - y) / y_span * plot_h)
-        for x, y in zip(cloud.xs, cloud.ys)
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    pxs = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in cloud.xs]
+    pys = [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in cloud.ys]
+    flat = pxs + pys
+    flat[0::2], flat[1::2] = pxs, pys  # cx0, cy0, cx1, cy1, ...
+    n = len(pxs)
+    tail = n % _BLOCK_POINTS
+    if n > tail:
+        block = "\n".join([_CIRCLE] * _BLOCK_POINTS)
+        step = 2 * _BLOCK_POINTS
+        parts.extend(block % tuple(flat[i:i + step]) for i in range(0, 2 * (n - tail), step))
+    if tail:
+        parts.append("\n".join([_CIRCLE] * tail) % tuple(flat[2 * (n - tail):]))
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -1,11 +1,13 @@
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from geomfit.cloud import PointCloud
+from geomfit.correlate import r_cosine
 from geomfit.regress import fit, predict
-from geomfit.svgplot import plot_frame, render_svg
+from geomfit.svgplot import plot_frame, render_svg, size_ok
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -79,6 +81,15 @@ class TestRenderSvg:
         with pytest.raises(ValueError):
             render_svg(ex1_cloud, f, 640, 50)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 99])
+    @pytest.mark.parametrize("axis", ["width", "height"])
+    def test_size_outside_range_rejected(self, ex1_cloud, bad, axis):
+        f = fit(ex1_cloud)
+        sizes = {"width": 640, "height": 480, axis: bad}
+        assert not size_ok(bad)
+        with pytest.raises(ValueError, match="between"):
+            render_svg(ex1_cloud, f, sizes["width"], sizes["height"])
+
     def test_tick_labels_present(self, ex1_cloud):
         f = fit(ex1_cloud)
         root = parse_svg(render_svg(ex1_cloud, f, 640, 480))
@@ -94,3 +105,66 @@ class TestRenderSvg:
             bx, by = frame.to_data(px, py)
             assert bx == pytest.approx(x, rel=1e-9, abs=1e-9)
             assert by == pytest.approx(y, rel=1e-9, abs=1e-9)
+
+
+def reference_svg(cloud, f, width=640, height=480):
+    """One ``%`` per point through ``PlotFrame.to_px``: the renderer's spec."""
+    frame = plot_frame(cloud, f, float(width), float(height))
+    ox, oy = 55.0, float(height) - 35.0
+    line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="%s"/>'
+    tick = '<text x="%.3f" y="%.3f" font-size="11" text-anchor="%s">%.6g</text>'
+    circle = '<circle cx="%.3f" cy="%.3f" r="3.0" fill="steelblue" fill-opacity="0.8"/>'
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        line % (ox, oy, float(width) - 15.0, oy, "black", "1"),
+        line % (ox, oy, ox, 15.0, "black", "1"),
+    ]
+    for xv in (min(cloud.xs), max(cloud.xs)):
+        parts.append(tick % (frame.to_px(xv, frame.y_lo)[0], oy + 18.0, "middle", xv))
+    for yv in (min(cloud.ys), max(cloud.ys)):
+        parts.append(tick % (ox - 6.0, frame.to_px(frame.x_lo, yv)[1] + 4.0, "end", yv))
+    ends = [frame.to_px(x, predict(f, x)) for x in (frame.x_lo, frame.x_hi)]
+    parts.append(line % (*ends[0], *ends[1], "crimson", "1.5"))
+    parts.extend(circle % frame.to_px(x, y) for x, y in zip(cloud.xs, cloud.ys))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+class TestBlockSeams:
+    """Clouds on either side of the 4,096-circle blocks, byte for byte."""
+
+    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 8192, 8193, 3 * 4096 + 17])
+    @pytest.mark.parametrize("case", ["negative", "offset_1e6", "canvas_333x222"])
+    def test_matches_per_point_reference(self, n, case):
+        rng = random.Random(n)
+        xs = [rng.uniform(-50.0, -1.0) for _ in range(n)]
+        ys = [-0.7 * x + rng.gauss(0.0, 5.0) - 100.0 for x in xs]
+        size = (640, 480)
+        if case == "offset_1e6":
+            xs, ys = [x + 1e6 for x in xs], [y + 1e6 for y in ys]
+        elif case == "canvas_333x222":
+            size = (333, 222)
+        cloud = PointCloud(xs, ys)
+        f = fit(cloud)
+        svg = render_svg(cloud, f, *size)
+        assert svg == reference_svg(cloud, f, *size)
+        assert svg.count("<circle ") == n
+
+
+def test_tick_labels_are_data_extrema_when_line_leaves_y_range():
+    # A weak slope pinned by one high-leverage point: the fitted line runs
+    # past the data's max y at the padded right end, so the frame's y range
+    # is wider than the data's.
+    rng = random.Random(12)
+    xs = [rng.uniform(0.0, 0.05) for _ in range(200)] + [1.0]
+    ys = [rng.uniform(-1.0, 0.5) for _ in range(200)] + [0.9]
+    cloud = PointCloud(xs, ys)
+    f = fit(cloud)
+    frame = plot_frame(cloud, f, 640.0, 480.0)
+    assert abs(r_cosine(f.centered)) < 0.3
+    assert predict(f, frame.x_hi) > max(ys)
+    assert frame.y_hi > max(ys) + 0.05 * (max(ys) - min(ys))
+    labels = [el.text for el in parse_svg(render_svg(cloud, f)).findall(f"{SVG_NS}text")]
+    assert labels == ["%.6g" % v for v in (min(xs), max(xs), min(ys), max(ys))]
