@@ -101,18 +101,9 @@ def render_report(report: dict, fmt: str = "text") -> str:
 
 def _column(value: str) -> int | str:
     try:
-        index = int(value)
+        return int(value)
     except ValueError:
         return value
-    if index < 0:
-        raise argparse.ArgumentTypeError(f"column index must be >= 0, got {index}")
-    return index
-
-
-def _delimiter(value: str) -> str:
-    if len(value) != 1:
-        raise argparse.ArgumentTypeError(f"must be a single character, got {value!r}")
-    return value
 
 
 def _pixels(value: str) -> int:
@@ -146,9 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", type=_path, required=True, help="path to a delimited dataset")
         p.add_argument("--x-col", type=_column, default=0, help="x column index or header name")
         p.add_argument("--y-col", type=_column, default=1, help="y column index or header name")
-        p.add_argument(
-            "--delimiter", type=_delimiter, default=",", help="field delimiter (single character)"
-        )
+        p.add_argument("--delimiter", default=",", help="field delimiter (single character)")
 
     p_fit = sub.add_parser("fit", help="fit a dataset and print a report")
     add_io_options(p_fit)
@@ -189,8 +178,11 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if "x_col" in args and args.x_col == args.y_col:
-            parser.error("--x-col and --y-col must name different columns")
+        if "x_col" in args:  # every subcommand but examples reads a dataset
+            try:
+                spec = dataio.DatasetSpec(args.delimiter, x_col=args.x_col, y_col=args.y_col)
+            except ValueError as exc:
+                parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
@@ -204,7 +196,6 @@ def run(argv: list[str]) -> int:
             return EXIT_OK
 
         content = Path(args.input).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
-        spec = dataio.DatasetSpec(delimiter=args.delimiter, x_col=args.x_col, y_col=args.y_col)
         cloud = dataio.parse(spec, content)
         if args.command == "fit":
             report = build_report(cloud)

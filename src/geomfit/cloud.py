@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 
 from .errors import ObjectiveOverflow
 
-__all__ = ["PointCloud", "CenteredCloud", "centroid", "center", "finite", "finite_fsum"]
+__all__ = [
+    "PointCloud", "CenteredCloud", "centroid", "center", "finite", "finite_column", "finite_fsum",
+]
 
 
 def finite(value: float, what: str) -> float:
@@ -36,7 +38,8 @@ def finite_fsum(terms: Iterable[float], what: str) -> float:
         return finite(math.inf, what)
 
 
-def _column(values: Iterable[float]) -> list[float]:
+def finite_column(values: Iterable[float]) -> list[float]:
+    """``values`` as a list of floats; ValueError if it is empty or holds a nan or an inf."""
     # A numpy array's tolist() converts it in one call, not element by element.
     col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
     if not col:
@@ -56,7 +59,7 @@ class PointCloud:
     ys: Sequence[float]
 
     def __post_init__(self):
-        xs, ys = _column(self.xs), _column(self.ys)
+        xs, ys = finite_column(self.xs), finite_column(self.ys)
         if len(xs) != len(ys):
             raise ValueError(f"xs and ys must have equal length, got {len(xs)} and {len(ys)}")
         object.__setattr__(self, "xs", xs)

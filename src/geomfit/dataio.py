@@ -47,7 +47,9 @@ class DatasetSpec:
     """How to read one delimited file into (x, y) columns.
 
     ``x_col``/``y_col`` accept either a zero-based index or a header name.
-    ``has_header`` of ``None`` means auto-detect.
+    ``has_header`` of ``None`` means auto-detect.  Construction raises
+    ValueError, naming the bad value, for a delimiter that is not one
+    character, a negative index, or the same column given twice.
     """
 
     delimiter: str = ","
@@ -57,9 +59,12 @@ class DatasetSpec:
 
     def __post_init__(self):
         if len(self.delimiter) != 1:
-            raise ValueError("delimiter must be a single character")
+            raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
+        for name, col in (("x_col", self.x_col), ("y_col", self.y_col)):
+            if isinstance(col, int) and col < 0:
+                raise ValueError(f"{name} must be a column index >= 0 or a header name, got {col}")
         if self.x_col == self.y_col:
-            raise ValueError("x_col and y_col must differ")
+            raise ValueError(f"x_col and y_col must differ, both are {self.x_col!r}")
 
 
 def _try_float(field: str) -> float | None:

@@ -71,18 +71,24 @@ class PlotFrame:
         return x, y
 
 
-def _extrema(cloud: PointCloud) -> tuple[float, float, float, float]:
-    """(min x, max x, min y, max y) of the data."""
-    return min(cloud.xs), max(cloud.xs), min(cloud.ys), max(cloud.ys)
-
-
 def plot_frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float) -> PlotFrame:
-    """Viewport covering the points and the clipped fitted line, padded 5%."""
-    return _frame(fit_result, width, height, *_extrema(cloud))
+    """Viewport covering the points and the clipped fitted line, padded 5%.
+
+    Raises ValueError unless ``size_ok`` holds for width and height.
+    """
+    return _frame(cloud, fit_result, width, height)[0]
 
 
-def _frame(fit_result: FitResult, width: float, height: float,
-           x_min: float, x_max: float, y_min: float, y_max: float) -> PlotFrame:
+def _frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float
+           ) -> tuple[PlotFrame, tuple[float, float, float, float]]:
+    """The plot's frame and the data's (min x, max x, min y, max y), each column scanned once.
+
+    The size is checked as given, before ``float`` could overflow on a huge int.
+    """
+    if not (size_ok(width) and size_ok(height)):
+        raise ValueError(f"width and height must be between {MIN_SIZE_PX} and {MAX_SIZE_PX:g} px")
+    extrema = min(cloud.xs), max(cloud.xs), min(cloud.ys), max(cloud.ys)
+    x_min, x_max, y_min, y_max = extrema
     x_span = x_max - x_min
     x_pad = _PAD_FRACTION * x_span if x_span > 0 else 1.0
     x_lo, x_hi = x_min - x_pad, x_max + x_pad
@@ -95,7 +101,7 @@ def _frame(fit_result: FitResult, width: float, height: float,
     y_pad = _PAD_FRACTION * y_span if y_span > 0 else max(1.0, math.ulp(y_max))
     y_lo, y_hi = y_min - y_pad, y_max + y_pad
     finite(y_hi - y_lo, "the plot's y range")
-    return PlotFrame(width, height, x_lo, x_hi, y_lo, y_hi)
+    return PlotFrame(float(width), float(height), x_lo, x_hi, y_lo, y_hi), extrema
 
 
 def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480) -> str:
@@ -108,10 +114,7 @@ def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
     a time by one ``%`` each; the last block gets a shorter template.
     Raises ValueError unless ``size_ok`` holds for width and height.
     """
-    if not (size_ok(width) and size_ok(height)):
-        raise ValueError(f"width and height must be between {MIN_SIZE_PX} and {MAX_SIZE_PX:g} px")
-    x_min, x_max, y_min, y_max = _extrema(cloud)
-    frame = _frame(fit_result, float(width), float(height), x_min, x_max, y_min, y_max)
+    frame, (x_min, x_max, y_min, y_max) = _frame(cloud, fit_result, width, height)
     ox, oy = _MARGIN_LEFT, float(height) - _MARGIN_BOTTOM
     line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="%s"/>'
     parts = [

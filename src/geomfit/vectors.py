@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .cloud import finite_column
 from .errors import DimensionMismatch
 
 __all__ = ["Vector", "dot", "norm_sq", "norm", "sub", "scale", "ones"]
@@ -24,13 +25,7 @@ class Vector:
     components: tuple[float, ...]
 
     def __init__(self, components: Iterable[float]):
-        comps = tuple(float(c) for c in components)
-        if len(comps) < 1:
-            raise ValueError("a vector needs at least one component")
-        for k, c in enumerate(comps):
-            if not math.isfinite(c):
-                raise ValueError(f"component {k} is not finite: {c!r}")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", tuple(finite_column(components)))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -70,15 +65,11 @@ def sub(a: Vector, b: Vector) -> Vector:
 
 
 def scale(c: float, a: Vector) -> Vector:
-    """Componentwise multiple ``c * a``."""
+    """Componentwise multiple ``c * a``; a nan or infinite ``c`` is rejected by Vector."""
     c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"scale factor is not finite: {c!r}")
     return Vector(c * x for x in a)
 
 
 def ones(n: int) -> Vector:
-    """All-ones vector of length ``n`` (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """All-ones vector of length ``n`` (n >= 1; Vector rejects an empty one)."""
     return Vector((1.0,) * n)

@@ -423,33 +423,35 @@ class TestUsageErrors:
         assert run(["fit", "--input", str(ex1_csv), "--format", "xml"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ["plot", "--width", "50"],
-            ["plot", "--height", "99"],
-            ["fit", "--delimiter", ""],
-            ["fit", "--delimiter", ";;"],
-            ["fit", "--x-col", "0", "--y-col", "0"],
-            ["fit", "--x-col", "-1"],
-            ["verify", "--input", "data\x00.csv"],
-            ["plot", "--width", "1" + "0" * 400],
-            ["verify", "--input", ""],
-            ["fit", "--output", ""],
-            ["plot", "--output", ""],
-            ["examples", "--output", ""],
+            (["plot", "--width", "50"], ""),
+            (["plot", "--height", "99"], ""),
+            (["fit", "--delimiter", ""], ""),
+            (["fit", "--delimiter", ";;"], "got ';;'"),
+            (["fit", "--x-col", "0", "--y-col", "0"], ""),
+            (["fit", "--x-col", "-1"], "got -1"),
+            (["verify", "--input", "data\x00.csv"], ""),
+            (["plot", "--width", "1" + "0" * 400], ""),
+            (["verify", "--input", ""], ""),
+            (["fit", "--output", ""], ""),
+            (["plot", "--output", ""], ""),
+            (["examples", "--output", ""], ""),
         ],
         ids=["width", "height", "empty-delimiter", "long-delimiter", "same-column",
              "negative-column", "nul-in-path", "width-above-float-range", "empty-input",
              "empty-fit-output", "empty-plot-output", "empty-examples-output"],
     )
-    def test_rejected_option_values(self, ex1_csv, capsys, argv):
+    def test_rejected_option_values(self, ex1_csv, capsys, argv, named):
         if argv[0] != "examples":  # examples takes no --input
             argv = argv + ["--input", str(ex1_csv)]
         assert run(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert captured.err.splitlines()[-1].startswith("geomfit")
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("geomfit")
+        assert named in last  # the bad value, where the case names one
 
 
 _BIG_INT = "1" + "0" * 400  # above the largest float

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomfit.cloud import PointCloud, center, centroid
+from geomfit.cloud import CenteredCloud, PointCloud, center, centroid
 from geomfit.correlate import correlate
 from geomfit.errors import ObjectiveOverflow
 from geomfit.regress import fit
@@ -100,6 +100,10 @@ class TestCenter:
         c = center(ex2_cloud)
         assert c.i_vec[0] == pytest.approx(-11.5, abs=1e-3)
         assert c.u_vec[0] == pytest.approx(-2380.583, abs=1e-3)
+
+    def test_unequal_centered_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            CenteredCloud(0.0, 0.0, [1.0], [1.0, -1.0])
 
     def test_already_centered_cloud(self):
         cloud = PointCloud.from_columns([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])

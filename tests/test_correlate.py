@@ -83,6 +83,10 @@ class TestRTextbook:
         with pytest.raises(DegenerateX):
             r_textbook(PointCloud.from_columns([2, 2], [1, 3]))
 
+    def test_one_point(self):
+        with pytest.raises(DegenerateX, match="at least 2 points"):
+            r_textbook(PointCloud.from_columns([1.0], [2.0]))
+
     def test_degenerate_y(self):
         with pytest.raises(DegenerateY):
             r_textbook(PointCloud.from_columns([1, 3], [2, 2]))

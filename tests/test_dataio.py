@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,14 @@ class TestParse:
     def test_same_column_rejected(self):
         with pytest.raises(ValueError):
             DatasetSpec(x_col=1, y_col=1)
+
+    @pytest.mark.parametrize("cols, named", [
+        ({"x_col": -1}, "x_col must be a column index >= 0 or a header name, got -1"),
+        ({"y_col": -2}, "y_col must be a column index >= 0 or a header name, got -2"),
+    ], ids=["x_col", "y_col"])
+    def test_negative_column_rejected(self, cols, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DatasetSpec(**cols)
 
     def test_custom_delimiter(self):
         cloud = parse(DatasetSpec(delimiter=";"), "1;2\n3;4\n")

@@ -35,6 +35,10 @@ class TestFitPredict:
         with pytest.raises(ValueError):
             GeometricLinearRegression().fit([1.0, float("nan")], [1.0, 2.0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="X is empty"):
+            GeometricLinearRegression().fit([], [])
+
     def test_two_dimensional_features_rejected(self):
         with pytest.raises(ValueError):
             GeometricLinearRegression().fit(np.zeros((3, 2)), [1.0, 2.0, 3.0])
@@ -53,6 +57,11 @@ class TestScore:
         est = GeometricLinearRegression().fit([0, 1, 2], [1, 3, 5])
         assert est.score([0, 1, 2], [1, 3, 5]) == pytest.approx(1.0)
 
+    def test_constant_y(self):
+        est = GeometricLinearRegression().fit([0, 1, 2], [1, 3, 5])
+        assert est.score([1, 1, 1], [3, 3, 3]) == 1.0  # predicted exactly
+        assert est.score([0, 1, 2], [3, 3, 3]) == 0.0
+
     def test_r_squared_equals_r_r(self, ex1_cloud):
         xs, ys = list(ex1_cloud.xs), list(ex1_cloud.ys)
         est = GeometricLinearRegression().fit(xs, ys)
@@ -70,6 +79,9 @@ class TestEstimatorContract:
         assert est.set_params() is est
         with pytest.raises(ValueError):
             est.set_params(unknown=1)
+
+    def test_repr(self):
+        assert repr(GeometricLinearRegression()) == "GeometricLinearRegression()"
 
     def test_sklearn_clone_compatible(self):
         sklearn_base = pytest.importorskip("sklearn.base")

@@ -7,7 +7,7 @@ import geomfit.oracle as oracle
 from geomfit.cloud import PointCloud
 from geomfit.correlate import correlate
 from geomfit.dataio import load_example
-from geomfit.errors import BoxTooSmall
+from geomfit.errors import BoxTooSmall, ObjectiveOverflow
 from geomfit.oracle import (
     _SHRINK,
     SearchBox,
@@ -55,6 +55,16 @@ class TestSearchBox:
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             SearchBox(0.0, 1.0, 0.0, 1.0, grid_steps=2)
+
+    def test_invalid_rounds(self):
+        with pytest.raises(ValueError, match="refinement_rounds"):
+            SearchBox(0.0, 1.0, 0.0, 1.0, refinement_rounds=0)
+
+
+class TestParabolaVertex:
+    @pytest.mark.parametrize("f", [lambda t: 5.0, lambda t: -t * t], ids=["flat", "concave"])
+    def test_no_positive_curvature_keeps_the_centre(self, f):
+        assert _parabola_vertex(f, 1.0, 0.5) == 1.0
 
 
 class TestGridSearch:
@@ -396,6 +406,16 @@ class TestMatchesScalarReference:
         f = fit(cloud)
         grid_search_fit(cloud, default_box(f.slope, f.intercept))
         assert len(calls) <= 20
+
+    def test_fsum_overflow_in_the_objective(self, monkeypatch):
+        def fsum_overflowing_on_the_buffer(terms):
+            if isinstance(terms, memoryview):  # the objective's residual buffer
+                raise OverflowError("intermediate overflow in fsum")
+            return fsum(terms)
+
+        monkeypatch.setattr(oracle, "fsum", fsum_overflowing_on_the_buffer)
+        with pytest.raises(ObjectiveOverflow):
+            grid_search_fit(LINE_2X1, default_box(2.0, 1.0))
 
     def test_deep_refinement(self):
         # After about 20 rounds the grid cell is below the objective's

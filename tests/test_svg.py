@@ -81,14 +81,16 @@ class TestRenderSvg:
         with pytest.raises(ValueError):
             render_svg(ex1_cloud, f, 640, 50)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 99])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 99, 10**400],
+                             ids=["nan", "inf", "-inf", "99", "10**400"])
     @pytest.mark.parametrize("axis", ["width", "height"])
     def test_size_outside_range_rejected(self, ex1_cloud, bad, axis):
         f = fit(ex1_cloud)
         sizes = {"width": 640, "height": 480, axis: bad}
         assert not size_ok(bad)
-        with pytest.raises(ValueError, match="between"):
-            render_svg(ex1_cloud, f, sizes["width"], sizes["height"])
+        for entry_point in (render_svg, plot_frame):
+            with pytest.raises(ValueError, match="between"):
+                entry_point(ex1_cloud, f, sizes["width"], sizes["height"])
 
     def test_tick_labels_present(self, ex1_cloud):
         f = fit(ex1_cloud)
