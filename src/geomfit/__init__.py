@@ -18,7 +18,7 @@ from .errors import (
 )
 from .oracle import SearchBox, default_box, gradient_check, grid_search_fit, sse_of
 from .regress import FitResult, fit, fit_slope_centered, predict
-from .svgplot import render_svg
+from .svgplot import render_svg, svg_chunks
 from .vectors import Vector, dot, norm, norm_sq, ones, scale, sub
 
 __version__ = "0.1.0"
@@ -42,7 +42,7 @@ __all__ = [
     "DiagnosticsReport", "orthogonality_report", "residuals", "sse",
     "SearchBox", "default_box", "gradient_check", "grid_search_fit", "sse_of",
     "GeometricLinearRegression",
-    "render_svg",
+    "render_svg", "svg_chunks",
     "GeomfitError", "DimensionMismatch", "TooFewPoints", "DegenerateX",
     "DegenerateY", "DataError", "ParseError", "EmptyDataset", "ColumnNotFound",
     "RaggedRow", "BoxTooSmall", "ObjectiveOverflow",

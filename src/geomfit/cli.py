@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success, 2 usage error (also an empty path or one with a NUL
 byte, or a plot size under 100 px or over the largest float), 3 data error
 (parse failure, a degenerate cloud, sums that overflow float64 in the fit or
-the ``verify`` search, or a plot y range that overflows), 4 verification
-failure (the search disagrees with the analytic slope, or its minimum lies
-at the edge of the box centred on the analytic fit).
+the ``verify`` search, or a plot y range that overflows) or a failed read or
+write (a closed pipe or a full disk; the output may be partial), 4
+verification failure (the search disagrees with the analytic slope, or its
+minimum lies at the edge of the box centred on the analytic fit).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import dataio
@@ -30,7 +33,7 @@ from .diagnostics import orthogonality_report
 from .errors import BoxTooSmall, GeomfitError
 from .oracle import default_box, grid_search_fit
 from .regress import fit
-from .svgplot import MAX_SIZE_PX, MIN_SIZE_PX, render_svg, size_ok
+from .svgplot import MAX_SIZE_PX, MIN_SIZE_PX, size_ok, svg_chunks
 
 __all__ = ["build_report", "render_report", "run", "main"]
 
@@ -166,11 +169,9 @@ def _verify_fit(cloud: PointCloud, a: float, b: float) -> tuple[bool, float, flo
     return abs(a - oracle_a) <= VERIFY_SLOPE_TOLERANCE, oracle_a, oracle_b
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
+        out.writelines(chunks)  # each chunk as it comes
 
 
 def run(argv: list[str]) -> int:
@@ -195,11 +196,11 @@ def run(argv: list[str]) -> int:
                 print(f"wrote {out_dir / name}")
             return EXIT_OK
 
-        content = Path(args.input).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
-        cloud = dataio.parse(spec, content)
+        # utf-8-sig drops a leading BOM; the text is freed once parse returns.
+        cloud = dataio.parse(spec, Path(args.input).read_text(encoding="utf-8-sig"))
         if args.command == "fit":
             report = build_report(cloud)
-            _emit(render_report(report, args.format), args.output)
+            _emit([render_report(report, args.format)], args.output)
             if args.verify:
                 ok, oracle_a, _ = _verify_fit(cloud, report["a"], report["b"])
                 if not ok:
@@ -209,7 +210,7 @@ def run(argv: list[str]) -> int:
             return EXIT_OK
 
         if args.command == "plot":
-            _emit(render_svg(cloud, fit(cloud), args.width, args.height), args.output)
+            _emit(svg_chunks(cloud, fit(cloud), args.width, args.height), args.output)
             return EXIT_OK
 
         if args.command == "verify":

@@ -72,10 +72,7 @@ def _try_float(field: str) -> float | None:
         v = float(field)
     except ValueError:
         return None
-    # Reject nan/inf spellings; clouds require finite data.
-    if v != v or v in (float("inf"), float("-inf")):
-        return None
-    return v
+    return v if math.isfinite(v) else None  # clouds require finite data, so no nan or inf
 
 
 def _data_lines(lines: Iterable[str], first_lineno: int = 1) -> Iterator[tuple[int, str]]:

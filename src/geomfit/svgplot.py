@@ -5,22 +5,24 @@ fixed number of decimals and nothing depends on dict ordering, locale, or
 time.  The data-to-pixel transform is exposed so consumers (and tests) can
 map pixel coordinates back to data coordinates.
 
-The renderer scans each column for its min and max once; the same four
-extrema size the frame and print as the tick labels.  The circles are
-formatted a block of ``_BLOCK_POINTS`` at a time, by one ``%`` against a
-template of that many circle lines, rather than by one ``%`` per point.
+The renderer scans each column for its min and max once, for the frame and
+the tick labels.  ``svg_chunks`` yields the circles a block of
+``_BLOCK_POINTS`` at a time, each block formatted by one ``%`` against a
+template of that many circle lines, so a writer never holds the document.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cloud import PointCloud, finite
 from .regress import FitResult, predict
 
-__all__ = ["MIN_SIZE_PX", "MAX_SIZE_PX", "PlotFrame", "plot_frame", "render_svg", "size_ok"]
+__all__ = ["MIN_SIZE_PX", "MAX_SIZE_PX", "PlotFrame", "plot_frame", "render_svg", "size_ok",
+           "svg_chunks"]
 
 MIN_SIZE_PX = 100  # smallest accepted width and height
 MAX_SIZE_PX = sys.float_info.max  # largest; anything bigger is not a finite float
@@ -30,9 +32,9 @@ _MARGIN_RIGHT = 15.0
 _MARGIN_TOP = 15.0
 _MARGIN_BOTTOM = 35.0
 _PAD_FRACTION = 0.05
-_POINT_RADIUS = 3.0
-_CIRCLE = (f'<circle cx="%.3f" cy="%.3f" r="{_POINT_RADIUS}" '
-           'fill="steelblue" fill-opacity="0.8"/>')
+_CIRCLE = '<circle cx="%.3f" cy="%.3f" r="3.0" fill="steelblue" fill-opacity="0.8"/>'
+_LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="%s"/>'
+_TICK = '<text x="%.3f" y="%.3f" font-size="11" text-anchor="%s">%.6g</text>'
 _BLOCK_POINTS = 4096  # circles formatted by one % call
 
 
@@ -94,8 +96,7 @@ def _frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float
     x_lo, x_hi = x_min - x_pad, x_max + x_pad
 
     line_ys = (predict(fit_result, x_lo), predict(fit_result, x_hi))
-    y_min = min(y_min, *line_ys)
-    y_max = max(y_max, *line_ys)
+    y_min, y_max = min(y_min, *line_ys), max(y_max, *line_ys)
     y_span = y_max - y_min
     # A constant y gets a unit pad, or one ulp where |y| >= 2**53 would absorb a unit.
     y_pad = _PAD_FRACTION * y_span if y_span > 0 else max(1.0, math.ulp(y_max))
@@ -104,53 +105,54 @@ def _frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float
     return PlotFrame(float(width), float(height), x_lo, x_hi, y_lo, y_hi), extrema
 
 
-def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480) -> str:
-    """SVG document: one circle per point, the fitted line, min/max axis ticks.
+def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480
+               ) -> Iterator[str]:
+    """``render_svg``'s document as chunks, each ending in a newline, to write as they come.
 
-    Pixel coordinates are printed as "%.3f" and tick labels as "%.6g".  The
-    min and max of each column are found once and feed both the frame and
-    the tick labels, which print the data's extrema (not the padded range
-    the fitted line may widen).  Circles are formatted ``_BLOCK_POINTS`` at
-    a time by one ``%`` each; the last block gets a shorter template.
-    Raises ValueError unless ``size_ok`` holds for width and height.
+    The frame is built on the call: a bad size (ValueError) or y range (ObjectiveOverflow)
+    raises before any chunk.  The chunks are the head, each block of circles, and ``</svg>``.
     """
     frame, (x_min, x_max, y_min, y_max) = _frame(cloud, fit_result, width, height)
     ox, oy = _MARGIN_LEFT, float(height) - _MARGIN_BOTTOM
-    line = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" stroke-width="%s"/>'
-    parts = [
+    # Fitted line clipped to the padded x-range.
+    ends = [frame.to_px(x, predict(fit_result, x)) for x in (frame.x_lo, frame.x_hi)]
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         # Axes along the left and bottom plot edges.
-        line % (ox, oy, float(width) - _MARGIN_RIGHT, oy, "black", "1"),
-        line % (ox, oy, ox, _MARGIN_TOP, "black", "1"),
+        _LINE % (ox, oy, float(width) - _MARGIN_RIGHT, oy, "black", "1"),
+        _LINE % (ox, oy, ox, _MARGIN_TOP, "black", "1"),
+        # Min/max tick labels in data coordinates.
+        *[_TICK % (frame.to_px(v, frame.y_lo)[0], oy + 18.0, "middle", v) for v in (x_min, x_max)],
+        *[_TICK % (ox - 6.0, frame.to_px(frame.x_lo, v)[1] + 4.0, "end", v) for v in (y_min, y_max)],
+        _LINE % (*ends[0], *ends[1], "crimson", "1.5"),
     ]
 
-    # Min/max tick labels in data coordinates.
-    tick = '<text x="%.3f" y="%.3f" font-size="11" text-anchor="%s">%.6g</text>'
-    for xv in (x_min, x_max):
-        parts.append(tick % (frame.to_px(xv, frame.y_lo)[0], oy + 18.0, "middle", xv))
-    for yv in (y_min, y_max):
-        parts.append(tick % (ox - 6.0, frame.to_px(frame.x_lo, yv)[1] + 4.0, "end", yv))
+    def chunks() -> Iterator[str]:
+        yield "\n".join(head) + "\n"
+        # Points in file order; frame.to_px inlined for speed, in its operation order.
+        x_lo, x_span, plot_w = frame.x_lo, frame.x_hi - frame.x_lo, frame.plot_width
+        y_hi, y_span, plot_h = frame.y_hi, frame.y_hi - frame.y_lo, frame.plot_height
+        xs, ys, block = cloud.xs, cloud.ys, "\n".join([_CIRCLE] * _BLOCK_POINTS) + "\n"
+        for lo in range(0, len(xs), _BLOCK_POINTS):
+            pxs = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs[lo:lo + _BLOCK_POINTS]]
+            pys = [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in ys[lo:lo + _BLOCK_POINTS]]
+            flat = pxs + pys
+            flat[0::2], flat[1::2] = pxs, pys  # cx0, cy0, cx1, cy1, ...
+            if len(pxs) < _BLOCK_POINTS:  # the last block gets a shorter template
+                block = "\n".join([_CIRCLE] * len(pxs)) + "\n"
+            yield block % tuple(flat)
+        yield "</svg>\n"
 
-    # Fitted line clipped to the padded x-range.
-    ends = [frame.to_px(x, predict(fit_result, x)) for x in (frame.x_lo, frame.x_hi)]
-    parts.append(line % (*ends[0], *ends[1], "crimson", "1.5"))
+    return chunks()
 
-    # Points in file order; frame.to_px inlined for speed, in its operation order.
-    x_lo, x_span, plot_w = frame.x_lo, frame.x_hi - frame.x_lo, frame.plot_width
-    y_hi, y_span, plot_h = frame.y_hi, frame.y_hi - frame.y_lo, frame.plot_height
-    pxs = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in cloud.xs]
-    pys = [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in cloud.ys]
-    flat = pxs + pys
-    flat[0::2], flat[1::2] = pxs, pys  # cx0, cy0, cx1, cy1, ...
-    n = len(pxs)
-    tail = n % _BLOCK_POINTS
-    if n > tail:
-        block = "\n".join([_CIRCLE] * _BLOCK_POINTS)
-        step = 2 * _BLOCK_POINTS
-        parts.extend(block % tuple(flat[i:i + step]) for i in range(0, 2 * (n - tail), step))
-    if tail:
-        parts.append("\n".join([_CIRCLE] * tail) % tuple(flat[2 * (n - tail):]))
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+
+def render_svg(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480) -> str:
+    """SVG document: one circle per point, the fitted line, min/max axis ticks.
+
+    The join of ``svg_chunks``.  Pixel coordinates print as "%.3f", and tick
+    labels as "%.6g" of the data's extrema, not the padded range the fitted
+    line may widen.  Raises ValueError unless ``size_ok`` holds for width and height.
+    """
+    return "".join(svg_chunks(cloud, fit_result, width, height))

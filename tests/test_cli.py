@@ -337,6 +337,13 @@ class TestFloatOverflow:
         assert capsys.readouterr().err == "error: the plot's y range overflows float64\n"
         assert not out.exists()
 
+    def test_plot_on_overflowing_y_range_writes_nothing_to_stdout(self, tmp_path, capsys):
+        # The frame is built before the first chunk is written.
+        path = tmp_path / "wide_y.csv"
+        path.write_text("x,y\n0,-8.9e307\n1,8.9e307\n", encoding="utf-8")
+        assert run(["plot", "--input", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().out == ""
+
 
 def test_fit_and_plot_do_not_import_numpy(tmp_path):
     csv = tmp_path / "example1_amarante.csv"
@@ -397,6 +404,25 @@ def test_python_dash_m_runs_the_cli(ex1_csv, capsys):
     argv = ["fit", "--input", str(ex1_csv)]
     assert run(argv) == EXIT_OK
     assert _fresh_run("-m", "geomfit", *argv) == (EXIT_OK, capsys.readouterr().out, "")
+
+
+def test_plot_into_a_closed_pipe_exits_3(tmp_path):
+    # As in `geomfit plot ... | head -c 20`: the SVG (about 1.6 MB) outgrows the
+    # pipe, the reader goes away, and the failed write is one line of stderr.
+    csv = tmp_path / "cloud.csv"
+    rows = "".join(f"{i},{0.5 * i + (i * 7919 % 101) / 10}\n" for i in range(20_000))
+    csv.write_text("x,y\n" + rows, encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, "-m", "geomfit", "plot", "--input", str(csv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(_SRC)})
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head == b'<svg xmlns="http://w'
+    assert proc.returncode == EXIT_DATA
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Broken pipe" in lines[0]
+    assert b"Exception ignored" not in err
 
 
 class TestExamplesCommand:

@@ -1,13 +1,23 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import geomfit
+from geomfit.cli import EXIT_OK, run
 from geomfit.cloud import PointCloud
 from geomfit.correlate import r_cosine
+from geomfit.errors import ObjectiveOverflow
 from geomfit.regress import fit, predict
-from geomfit.svgplot import plot_frame, render_svg, size_ok
+from geomfit.svgplot import plot_frame, render_svg, size_ok, svg_chunks
+
+_SRC = Path(geomfit.__file__).resolve().parent.parent
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -134,6 +144,19 @@ def reference_svg(cloud, f, width=640, height=480):
     return "\n".join(parts) + "\n"
 
 
+def seam_cloud(n, case):
+    """TestBlockSeams' cloud and canvas size for ``n`` points and ``case``."""
+    rng = random.Random(n)
+    xs = [rng.uniform(-50.0, -1.0) for _ in range(n)]
+    ys = [-0.7 * x + rng.gauss(0.0, 5.0) - 100.0 for x in xs]
+    size = (640, 480)
+    if case == "offset_1e6":
+        xs, ys = [x + 1e6 for x in xs], [y + 1e6 for y in ys]
+    elif case == "canvas_333x222":
+        size = (333, 222)
+    return PointCloud(xs, ys), size
+
+
 class TestBlockSeams:
     """Clouds on either side of the 4,096-circle blocks, byte for byte."""
 
@@ -153,6 +176,68 @@ class TestBlockSeams:
         svg = render_svg(cloud, f, *size)
         assert svg == reference_svg(cloud, f, *size)
         assert svg.count("<circle ") == n
+
+    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 8192, 8193, 3 * 4096 + 17])
+    @pytest.mark.parametrize("case", ["negative", "offset_1e6", "canvas_333x222"])
+    def test_chunks_join_to_per_point_reference(self, n, case):
+        cloud, size = seam_cloud(n, case)
+        f = fit(cloud)
+        chunks = list(svg_chunks(cloud, f, *size))
+        assert "".join(chunks) == reference_svg(cloud, f, *size)
+        # The head, one chunk per block of 4,096 circles, then the closing tag.
+        assert [c.count("<circle ") for c in chunks] == (
+            [0] + [min(4096, n - lo) for lo in range(0, n, 4096)] + [0])
+        assert chunks[-1] == "</svg>\n"
+        assert all(c.endswith("\n") for c in chunks)
+
+
+class TestStreamedPlot:
+    """``plot`` writes ``svg_chunks`` as they come: same bytes, bounded memory."""
+
+    @pytest.mark.parametrize("n", [4096, 3 * 4096 + 17])
+    def test_cli_file_and_stdout_bytes_match_reference(self, tmp_path, n):
+        cloud, _ = seam_cloud(n, "offset_1e6")
+        expected = reference_svg(cloud, fit(cloud)).encode("utf-8")
+        csv, out = tmp_path / "cloud.csv", tmp_path / "cloud.svg"
+        rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(cloud.xs, cloud.ys))
+        csv.write_text("x,y\n" + rows, encoding="utf-8")
+        assert run(["plot", "--input", str(csv), "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() == expected
+        proc = subprocess.run([sys.executable, "-m", "geomfit", "plot", "--input", str(csv)],
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(_SRC)})
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == expected
+
+    @pytest.mark.parametrize("size", [(99, 480), (640, math.nan)], ids=["99", "nan"])
+    def test_bad_size_raises_on_the_call(self, ex1_cloud, size):
+        # No next(): a generator function would not raise until its first chunk.
+        with pytest.raises(ValueError):
+            svg_chunks(ex1_cloud, fit(ex1_cloud), *size)
+
+    def test_overflowing_y_range_raises_on_the_call(self):
+        cloud = PointCloud([0.0, 1.0], [-8.9e307, 8.9e307])
+        with pytest.raises(ObjectiveOverflow):
+            svg_chunks(cloud, fit(cloud))
+
+    def test_memory_is_bounded_by_a_block(self):
+        def peak(n):
+            rng = random.Random(n)
+            xs = [rng.uniform(0.0, 100.0) for _ in range(n)]
+            cloud = PointCloud(xs, [0.5 * x + rng.gauss(0.0, 3.0) for x in xs])
+            f = fit(cloud)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                for _ in svg_chunks(cloud, f):
+                    pass  # each chunk is dropped, as the CLI drops it once written
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A whole document of 40,000 circles is 3.2 MB; a block and its columns are not.
+        assert peak(40_000) < 2_000_000
+        assert peak(80_000) < 1.25 * peak(20_000)
 
 
 def test_tick_labels_are_data_extrema_when_line_leaves_y_range():
