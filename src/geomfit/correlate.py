@@ -61,7 +61,7 @@ def r_cosine(c: CenteredCloud) -> float:
 
 def theta(c: CenteredCloud) -> float:
     """Correlation angle in degrees, in [0, 180]."""
-    return math.degrees(math.acos(r_cosine(c)))
+    return correlate(c).theta_deg
 
 
 def r_textbook(cloud: PointCloud) -> float:

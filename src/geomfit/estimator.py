@@ -33,6 +33,14 @@ def _as_1d_column(X, name: str) -> np.ndarray:
     return arr
 
 
+def _xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Paired inputs of ``fit`` and ``score``: two columns of one length."""
+    xs, ys = _as_1d_column(X, "X"), _as_1d_column(y, "y")
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError(f"X and y length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
+    return xs, ys
+
+
 class GeometricLinearRegression:
     """Single-feature least-squares line, fitted by orthogonal projection.
 
@@ -41,10 +49,7 @@ class GeometricLinearRegression:
     """
 
     def fit(self, X, y):
-        xs = _as_1d_column(X, "X")
-        ys = _as_1d_column(y, "y")
-        if xs.shape[0] != ys.shape[0]:
-            raise ValueError(f"X and y length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
+        xs, ys = _xy(X, y)
         cloud = PointCloud(xs, ys)
         result = geometric_fit(cloud)
         corr = correlate(result.centered)
@@ -65,8 +70,7 @@ class GeometricLinearRegression:
 
     def score(self, X, y) -> float:
         """Coefficient of determination R^2."""
-        xs = _as_1d_column(X, "X")
-        ys = _as_1d_column(y, "y")
+        xs, ys = _xy(X, y)
         pred = self.predict(xs)
         ss_res = float(np.sum((ys - pred) ** 2))
         ss_tot = float(np.sum((ys - ys.mean()) ** 2))

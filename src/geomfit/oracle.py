@@ -5,12 +5,13 @@ evaluated directly from raw data and minimized by iterated grid refinement,
 so agreement with the analytic fit is a genuine cross-check rather than the
 same formula computed twice.
 
-The search grid lives in (slope, height-at-mean-x) coordinates.  In the raw
-(slope, intercept) plane the objective's level sets are extremely elongated
-diagonal ellipses whenever the x column is far from zero-mean, and naive box
-refinement loses the minimizer; shifting the intercept axis to the line's
-height at mean(x) makes the axes independent so the grid converges.  The
-minimum is still located purely by evaluating the objective.
+The search grid is 21 x 21 points in (slope, height-at-mean-x) coordinates,
+refined 8 times; a :class:`SearchBox` holds only the bounds it starts from.
+In the raw (slope, intercept) plane the objective's level sets are extremely
+elongated diagonal ellipses whenever the x column is far from zero-mean, and
+naive box refinement loses the minimizer; shifting the intercept axis to the
+line's height at mean(x) makes the axes independent so the grid converges.
+The minimum is still located purely by evaluating the objective.
 
 Each refinement round screens its grid in closed form.  For one slope a the
 objective is a quadratic in the height c: with d = (y - a*(x - mean x)) - m
@@ -38,6 +39,8 @@ from .errors import BoxTooSmall
 
 __all__ = ["SearchBox", "sse_of", "grid_search_fit", "gradient_check", "default_box"]
 
+_GRID_STEPS = 21  # grid points per axis in each round
+_REFINEMENT_ROUNDS = 8
 _SHRINK = 0.25  # box half-width factor per refinement round
 _BLOCK_ELEMENTS = 65_536  # element budget of the grid's work buffer
 _UNIT_ROUNDOFF = 2.0**-53
@@ -46,22 +49,16 @@ _OBJECTIVE = "the sum of squared deviations"
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Bounds in the (slope a, intercept b) plane plus grid resolution."""
+    """Bounds in the (slope a, intercept b) plane; the grid size and round count are fixed."""
 
     a_min: float
     a_max: float
     b_min: float
     b_max: float
-    grid_steps: int = 21
-    refinement_rounds: int = 8
 
     def __post_init__(self):
         if not (self.a_min < self.a_max and self.b_min < self.b_max):
             raise ValueError("box bounds must satisfy min < max on both axes")
-        if self.grid_steps < 3:
-            raise ValueError("grid_steps must be >= 3")
-        if self.refinement_rounds < 1:
-            raise ValueError("refinement_rounds must be >= 1")
 
 
 def default_box(a_seed: float, b_seed: float) -> SearchBox:
@@ -118,7 +115,7 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
                 value = inf
             return finite(value, _OBJECTIVE)
 
-        steps = box.grid_steps
+        steps = _GRID_STEPS
         a_lo, a_hi = box.a_min, box.a_max
         # Height-at-mean-x range covering every (a, b) in the box.
         corners = [
@@ -148,7 +145,7 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
         part = np.empty((steps, len(starts)))  # sub-block sums of one chunk
 
         best_a = best_c = None
-        for _ in range(box.refinement_rounds):
+        for _ in range(_REFINEMENT_ROUNDS):
             da = (a_hi - a_lo) / (steps - 1)
             dc = (c_hi - c_lo) / (steps - 1)
             a_grid = [a_lo + ia * da for ia in range(steps)]
@@ -208,8 +205,8 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
 
 def gradient_check(cloud: PointCloud, a: float, b: float, h: float = 1e-6) -> tuple[float, float]:
     """Central finite-difference gradient of the objective at (a, b)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < inf:  # NaN fails too
+        raise ValueError(f"step h must be a positive finite number, got {h!r}")
     d_a = (sse_of(cloud, a + h, b) - sse_of(cloud, a - h, b)) / (2 * h)
     d_b = (sse_of(cloud, a, b + h) - sse_of(cloud, a, b - h)) / (2 * h)
     return d_a, d_b

@@ -134,15 +134,13 @@ def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
         # Points in file order; frame.to_px inlined for speed, in its operation order.
         x_lo, x_span, plot_w = frame.x_lo, frame.x_hi - frame.x_lo, frame.plot_width
         y_hi, y_span, plot_h = frame.y_hi, frame.y_hi - frame.y_lo, frame.plot_height
-        xs, ys, block = cloud.xs, cloud.ys, "\n".join([_CIRCLE] * _BLOCK_POINTS) + "\n"
+        xs, ys = cloud.xs, cloud.ys
         for lo in range(0, len(xs), _BLOCK_POINTS):
             pxs = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs[lo:lo + _BLOCK_POINTS]]
             pys = [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in ys[lo:lo + _BLOCK_POINTS]]
             flat = pxs + pys
             flat[0::2], flat[1::2] = pxs, pys  # cx0, cy0, cx1, cy1, ...
-            if len(pxs) < _BLOCK_POINTS:  # the last block gets a shorter template
-                block = "\n".join([_CIRCLE] * len(pxs)) + "\n"
-            yield block % tuple(flat)
+            yield ((_CIRCLE + "\n") * len(pxs)) % tuple(flat)
         yield "</svg>\n"
 
     return chunks()

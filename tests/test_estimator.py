@@ -62,6 +62,13 @@ class TestScore:
         assert est.score([1, 1, 1], [3, 3, 3]) == 1.0  # predicted exactly
         assert est.score([0, 1, 2], [3, 3, 3]) == 0.0
 
+    @pytest.mark.parametrize("X, y", [([1, 2, 3], [5]), ([1], [3, 5, 7])], ids=["short_y", "short_X"])
+    def test_length_mismatch(self, X, y):
+        # numpy would broadcast the length-1 side into a score
+        est = GeometricLinearRegression().fit([0, 1, 2], [1, 3, 5])
+        with pytest.raises(ValueError, match="length mismatch"):
+            est.score(X, y)
+
     def test_r_squared_equals_r_r(self, ex1_cloud):
         xs, ys = list(ex1_cloud.xs), list(ex1_cloud.ys)
         est = GeometricLinearRegression().fit(xs, ys)

@@ -1,5 +1,5 @@
 import random
-from math import fsum
+from math import fsum, inf, nan
 
 import pytest
 
@@ -51,14 +51,6 @@ class TestSearchBox:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             SearchBox(1.0, 1.0, 0.0, 1.0)
-
-    def test_invalid_steps(self):
-        with pytest.raises(ValueError):
-            SearchBox(0.0, 1.0, 0.0, 1.0, grid_steps=2)
-
-    def test_invalid_rounds(self):
-        with pytest.raises(ValueError, match="refinement_rounds"):
-            SearchBox(0.0, 1.0, 0.0, 1.0, refinement_rounds=0)
 
 
 class TestParabolaVertex:
@@ -118,9 +110,10 @@ class TestGradientCheck:
         da, _ = gradient_check(ex1_cloud, 0.0, y_bar, h=1e-4)
         assert da == pytest.approx(-2.0 * EX1["ui"], abs=0.1)
 
-    def test_rejects_nonpositive_step(self):
+    @pytest.mark.parametrize("h", [0.0, -1e-6, nan, inf, -inf])
+    def test_rejects_nonpositive_step(self, h):
         with pytest.raises(ValueError):
-            gradient_check(LINE_2X1, 0.0, 0.0, h=0.0)
+            gradient_check(LINE_2X1, 0.0, 0.0, h=h)
 
     def test_matches_analytic_form_at_perturbed_points(self):
         rng = random.Random(402)
@@ -168,7 +161,7 @@ def _reference_grid_search(cloud: PointCloud, box: SearchBox) -> tuple[float, fl
     def objective(a: float, c: float) -> float:
         return fsum((y - a * (x - x_bar) - c) ** 2 for x, y in pts)
 
-    steps = box.grid_steps
+    steps = oracle._GRID_STEPS
     a_lo, a_hi = box.a_min, box.a_max
     corners = [
         b + a * x_bar
@@ -180,7 +173,7 @@ def _reference_grid_search(cloud: PointCloud, box: SearchBox) -> tuple[float, fl
         c_lo, c_hi = c_lo - 1.0, c_hi + 1.0
 
     best_a = best_c = None
-    for _ in range(box.refinement_rounds):
+    for _ in range(oracle._REFINEMENT_ROUNDS):
         da = (a_hi - a_lo) / (steps - 1)
         dc = (c_hi - c_lo) / (steps - 1)
         best = None
@@ -370,12 +363,13 @@ class TestMatchesScalarReference:
             ([-2, -3, 5, 1, -4, 0, 5, 0, -4, 1, -3, 5], [4, 4, 2, 5, 1, 3, 2, 5, -4, -3, 0, 0], 2),
         ],
     )
-    def test_exact_ties_on_integer_data(self, xs, ys, rounds):
+    def test_exact_ties_on_integer_data(self, xs, ys, rounds, monkeypatch):
         # On integer data and a grid of round numbers some grid points tie
         # exactly under fsum while their block sums differ in the last bit;
         # the first block minimum alone would pick another point.
+        monkeypatch.setattr(oracle, "_REFINEMENT_ROUNDS", rounds)
         cloud = PointCloud.from_columns(xs, ys)
-        box = SearchBox(-4.0, 4.0, -6.0, 6.0, refinement_rounds=rounds)
+        box = SearchBox(-4.0, 4.0, -6.0, 6.0)
         assert grid_search_fit(cloud, box) == _reference_grid_search(cloud, box)
 
     @pytest.mark.parametrize("case", sorted(_SCREEN_CASES))
@@ -417,16 +411,16 @@ class TestMatchesScalarReference:
         with pytest.raises(ObjectiveOverflow):
             grid_search_fit(LINE_2X1, default_box(2.0, 1.0))
 
-    def test_deep_refinement(self):
+    def test_deep_refinement(self, monkeypatch):
         # After about 20 rounds the grid cell is below the objective's
         # rounding noise, so most grid points are near-ties: the exact
         # re-ranking, not the screen's own rounding, must decide.
+        monkeypatch.setattr(oracle, "_REFINEMENT_ROUNDS", 26)
         rng = random.Random(408)
         for n in (3, 5, 12, 30) * 3:
             cloud = _corpus_cloud(rng, n)
             f = fit(cloud)
-            b = skewed_box(f.slope, f.intercept)
-            box = SearchBox(b.a_min, b.a_max, b.b_min, b.b_max, refinement_rounds=26)
+            box = skewed_box(f.slope, f.intercept)
             assert _outcome(grid_search_fit, cloud, box) == _outcome(
                 _reference_grid_search, cloud, box
             ), (n, box)
