@@ -10,8 +10,10 @@ Subcommands:
 Exit codes: 0 success, 2 usage error (also an empty path or one with a NUL
 byte, or a plot size under 100 px or over the largest float), 3 data error
 (parse failure, a degenerate cloud, sums that overflow float64 in the fit or
-the ``verify`` search, or a plot y range that overflows) or a failed read or
-write (a closed pipe or a full disk; the output may be partial), 4
+the ``verify`` search, or a plot y range that overflows), a failed read or
+write (a closed pipe or a full disk; the output may be partial), or
+``verify`` or ``fit --verify`` without numpy, which the search needs (checked
+before the input is read, with one ``error:`` line), 4
 verification failure (the search disagrees with the analytic slope, or its
 minimum lies at the edge of the box centred on the analytic fit).
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
 from collections.abc import Iterable
@@ -187,6 +190,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
+    searches = args.command == "verify" or getattr(args, "verify", False)
+    if searches and importlib.util.find_spec("numpy") is None:  # the search runs on numpy
+        print("error: verify needs numpy, which is not installed", file=sys.stderr)
+        return EXIT_DATA
+
     try:
         if args.command == "examples":
             out_dir = Path(args.output)
@@ -196,8 +204,10 @@ def run(argv: list[str]) -> int:
                 print(f"wrote {out_dir / name}")
             return EXIT_OK
 
-        # utf-8-sig drops a leading BOM; the text is freed once parse returns.
-        cloud = dataio.parse(spec, Path(args.input).read_text(encoding="utf-8-sig"))
+        # utf-8-sig drops a leading BOM; the default newline mode ends a line
+        # at \n, \r\n or a lone \r.  parse reads the file a block at a time.
+        with open(args.input, encoding="utf-8-sig") as source:
+            cloud = dataio.parse(spec, source)
         if args.command == "fit":
             report = build_report(cloud)
             _emit([render_report(report, args.format)], args.output)

@@ -375,6 +375,33 @@ def _fresh_run(*command: str) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("command", [["verify"], ["fit", "--verify"]],
+                         ids=["verify", "fit-verify"])
+def test_verify_without_numpy_exits_3(ex2_csv, command):
+    script = ("import sys; sys.modules['numpy'] = None; from geomfit.cli import run; "
+              "sys.exit(run(sys.argv[1:]))")
+    assert _fresh_run("-c", script, *command, "--input", str(ex2_csv)) == (
+        EXIT_DATA, "", "error: verify needs numpy, which is not installed\n")
+
+
+class TestUndecodableInput:
+    def test_bad_byte_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x,y\n1,2\n2,3\xe9\n3,5\n")
+        assert run(["fit", "--input", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    def test_parse_error_in_an_earlier_block_comes_first(self, tmp_path, capsys):
+        # The input is read 1 MiB at a time, so a bad byte past the first
+        # block is met only after the parse error on line 3.
+        path = tmp_path / "late_bad_byte.csv"
+        path.write_bytes(b"x,y\n1,2\n2,abc\n" + b"3,4\n" * 300_000 + b"5,6\xe9\n")
+        assert run(["fit", "--input", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: line 3, column 2: not a finite number: 'abc'\n"
+
+
 def test_repeated_runs_match_fresh_interpreters(tmp_path, monkeypatch, capsys):
     # The parser is built once per process; every later call must still
     # behave as that call does when it runs first in a new interpreter.
