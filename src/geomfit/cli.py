@@ -192,7 +192,8 @@ def run(argv: list[str]) -> int:
 
     searches = args.command == "verify" or getattr(args, "verify", False)
     if searches and importlib.util.find_spec("numpy") is None:  # the search runs on numpy
-        print("error: verify needs numpy, which is not installed", file=sys.stderr)
+        print("error: verify needs numpy, which is not installed (pip install 'geomfit[numpy]')",
+              file=sys.stderr)
         return EXIT_DATA
 
     try:
@@ -205,7 +206,7 @@ def run(argv: list[str]) -> int:
             return EXIT_OK
 
         # utf-8-sig drops a leading BOM; the default newline mode ends a line
-        # at \n, \r\n or a lone \r.  parse reads the file a block at a time.
+        # at \n, \r\n or a lone \r.  parse reads the file a chunk of lines at a time.
         with open(args.input, encoding="utf-8-sig") as source:
             cloud = dataio.parse(spec, source)
         if args.command == "fit":

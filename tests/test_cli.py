@@ -381,7 +381,8 @@ def test_verify_without_numpy_exits_3(ex2_csv, command):
     script = ("import sys; sys.modules['numpy'] = None; from geomfit.cli import run; "
               "sys.exit(run(sys.argv[1:]))")
     assert _fresh_run("-c", script, *command, "--input", str(ex2_csv)) == (
-        EXIT_DATA, "", "error: verify needs numpy, which is not installed\n")
+        EXIT_DATA, "",
+        "error: verify needs numpy, which is not installed (pip install 'geomfit[numpy]')\n")
 
 
 class TestUndecodableInput:
@@ -394,8 +395,8 @@ class TestUndecodableInput:
         assert err.count("\n") == 1
 
     def test_parse_error_in_an_earlier_block_comes_first(self, tmp_path, capsys):
-        # The input is read 1 MiB at a time, so a bad byte past the first
-        # block is met only after the parse error on line 3.
+        # The input is read a chunk of lines at a time, so a bad byte past
+        # the first chunk is met only after the parse error on line 3.
         path = tmp_path / "late_bad_byte.csv"
         path.write_bytes(b"x,y\n1,2\n2,abc\n" + b"3,4\n" * 300_000 + b"5,6\xe9\n")
         assert run(["fit", "--input", str(path)]) == EXIT_DATA

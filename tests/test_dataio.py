@@ -386,6 +386,14 @@ _MULTI_CHUNK = {
     # finite values whose column sum overflows in every chunk
     "overflowing-sum": (DatasetSpec(), "x,y\n1,1.7e308\n2,1.7e308\n3,-1.7e308\n4,-1.7e308\n",
                         [(1.0, 1.7e308), (2.0, 1.7e308), (3.0, -1.7e308), (4.0, -1.7e308)]),
+    # more trailing blank lines than a chunk holds, so the last chunks are all blank
+    "blank-tail": (DatasetSpec(), "x,y\n1,2\n3,4\n5,6\n\n \r\n\t\n\n\n\n\n",
+                   [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]),
+    # blank lines end the first chunk, and the line numbers count them
+    "blank-chunk-end": (DatasetSpec(), "1,2\n\n\n3,4\n5,6\n7,x\n", (ParseError, 6, 2)),
+    # the header is line 6, so the first data row follows whole chunks of 2 or 3 lines
+    "first-row-on-a-boundary": (DatasetSpec(), "# a\n\n# b\n\n# c\nx,y\n1,2\n3,4\n5,6\n7,8\n9,z\n",
+                                (ParseError, 11, 2)),
 }
 
 

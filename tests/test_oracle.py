@@ -1,5 +1,5 @@
 import random
-from math import fsum, inf, nan
+from math import fsum, inf, nan, nextafter
 
 import pytest
 
@@ -387,6 +387,17 @@ class TestMatchesScalarReference:
             assert _outcome(grid_search_fit, cloud, box) == _outcome(
                 _reference_grid_search, cloud, box
             ), (case, box)
+
+    def test_corner_heights_that_round_equal(self):
+        # A slope range one ulp wide and an intercept range that 3.7 * 3
+        # absorbs give the box four equal corner heights at mean x = 3, so
+        # the height range is widened to +/-1 around them.
+        xs = [2.0, 3.0, 4.0]
+        cloud = PointCloud.from_columns(xs, [3.7 * x for x in xs])
+        box = SearchBox(3.7, nextafter(3.7, 4.0), -1e-300, 1e-300)
+        corners = {b + a * 3.0 for a in (box.a_min, box.a_max) for b in (box.b_min, box.b_max)}
+        assert len(corners) == 1
+        assert grid_search_fit(cloud, box) == _reference_grid_search(cloud, box) == (3.7, 0.0)
 
     def test_rerank_count_on_a_flat_objective(self, monkeypatch):
         # A weakly correlated cloud puts many grid points close to the
