@@ -39,7 +39,9 @@ def finite_fsum(terms: Iterable[float], what: str) -> float:
 
 
 def finite_column(values: Iterable[float]) -> list[float]:
-    """``values`` as a list of floats; ValueError if it is empty or holds a nan or an inf."""
+    """``values`` as a list of floats; ValueError for a string, no values, a nan or an inf."""
+    if isinstance(values, (str, bytes)):  # else read one character at a time
+        raise ValueError(f"a column must be a sequence of numbers, not {type(values).__name__}")
     # A numpy array's tolist() converts it in one call, not element by element.
     col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
     if not col:

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cloud import CenteredCloud, PointCloud
+from .cloud import CenteredCloud, PointCloud, finite, finite_fsum
 from .errors import DegenerateX, DegenerateY
 
 __all__ = [
@@ -73,11 +73,11 @@ def r_textbook(cloud: PointCloud) -> float:
     n = len(cloud)
     if n < 2:
         raise DegenerateX("need at least 2 points")
-    sx = math.fsum(cloud.xs)
-    sy = math.fsum(cloud.ys)
-    sxy = math.fsum(x * y for x, y in zip(cloud.xs, cloud.ys))
-    sxx = math.fsum(x * x for x in cloud.xs)
-    syy = math.fsum(y * y for y in cloud.ys)
+    sx = finite_fsum(cloud.xs, "the sum of x")
+    sy = finite_fsum(cloud.ys, "the sum of y")
+    sxy = finite_fsum((x * y for x, y in zip(cloud.xs, cloud.ys)), "the sum of x-y products")
+    sxx = finite_fsum((x * x for x in cloud.xs), "the sum of squared x")
+    syy = finite_fsum((y * y for y in cloud.ys), "the sum of squared y")
     var_x = sxx - sx * sx / n
     var_y = syy - sy * sy / n
     max_x = max(abs(x) for x in cloud.xs)
@@ -88,7 +88,8 @@ def r_textbook(cloud: PointCloud) -> float:
     if var_y <= n * eps * max(1.0, max_y * max_y):
         raise DegenerateY("y variance is zero within tolerance")
     num = sxy - sx * sy / n
-    return max(-1.0, min(1.0, num / math.sqrt(var_x * var_y)))
+    var_xy = finite(var_x * var_y, "the product of the x and y variances")
+    return max(-1.0, min(1.0, num / math.sqrt(var_xy)))
 
 
 def _band(r: float) -> CorrelationClass:

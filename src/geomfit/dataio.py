@@ -12,22 +12,22 @@ Lines come from the source's own line iterator, a string's through
 ``io.StringIO``, which splits only at "\\n".  So no call holds the whole
 text or a list of all its lines, and header detection reads only to the end
 of the first data row.  Rows are converted a chunk of ``_CHUNK_ROWS`` lines
-at a time, each chunk's trailing blank lines left out.  A chunk whose lines
-all hold the same number of delimiters (not a line break), no ``#`` and no
-CR outside a CRLF (a file read with ``newline=""`` keeps the CR that ends
-a line) is joined, split once, and each selected column converted by one
-``map(float, ...)``.  Each column is tested finite by one C-level
-``sum``, which a nan or an inf always makes non-finite.  A chunk that this
-refuses (a field ``float`` rejects, a column sum that is not finite, a short
-row, a blank or comment line) goes through the per-row loop, the one
-definition of a data row and the only place that raises, so the first error
-in file order is reported.  A chunk of finite values whose sum overflows
-takes the loop too, which accepts it.  The loop strips and converts again a
-field that ``float`` refuses as it stands or that is not finite, so every
-field is accepted or rejected as its stripped text is.  ``float`` ignores
-the line break that the fast path leaves on a last field, so values are
-bit-identical.  A file's decoding error arises when the chunk of lines
-holding it is read, so a parse error in an earlier chunk is reported first.
+at a time.  A chunk whose lines all hold the same number of delimiters (not
+a line break), no ``#`` and no CR outside a CRLF (a file read with
+``newline=""`` keeps the CR that ends a line) is joined, split once, and
+each selected column converted by one ``map(float, ...)``.  Each column is
+tested finite by one C-level ``sum``, which a nan or an inf always makes
+non-finite.  A chunk that this refuses (a field ``float`` rejects, a column
+sum that is not finite, a short row, a blank or comment line) goes through
+the per-row loop, the one definition of a data row and the only place that
+raises, so the first error in file order is reported.  A chunk of finite
+values whose sum overflows takes the loop too, which accepts it.  The loop
+converts each selected field's stripped text, so every field is accepted or
+rejected as its stripped text is.  ``float`` strips only whitespace that
+``str.strip`` strips too, the line break the fast path leaves on a last
+field included, so values are bit-identical.  A file's decoding error
+arises when the chunk of lines holding it is read, so a parse error in an
+earlier chunk is reported first.
 """
 
 from __future__ import annotations
@@ -170,15 +170,11 @@ def parse(spec: DatasetSpec, source: str | TextIO) -> PointCloud:
     ys: list[float] = []
     lines = chain([line], lines)  # the first data row, then the lines after it
     while chunk := list(islice(lines, _CHUNK_ROWS)):
-        end = lineno + len(chunk)
-        while chunk and not chunk[-1].strip():
-            chunk.pop()
-        if chunk:
-            x_col, y_col = (_chunk_columns(chunk, delimiter, ix, iy, needed)
-                            or _row_columns(_data_lines(chunk, lineno), delimiter, ix, iy, needed))
-            xs += x_col
-            ys += y_col
-        lineno = end
+        x_col, y_col = (_chunk_columns(chunk, delimiter, ix, iy, needed)
+                        or _row_columns(_data_lines(chunk, lineno), delimiter, ix, iy, needed))
+        xs += x_col
+        ys += y_col
+        lineno += len(chunk)
     return PointCloud(xs, ys)
 
 
@@ -213,22 +209,15 @@ def _chunk_columns(chunk: list[str], delimiter: str, ix: int, iy: int,
 
 def _row_columns(rows: Iterator[tuple[int, str]], delimiter: str, ix: int, iy: int,
                  needed: int) -> tuple[list[float], list[float]]:
-    """The x and y columns of the rows, one row at a time."""
+    """The x and y columns of the rows, one row at a time, from each field's stripped text."""
     xs: list[float] = []
     ys: list[float] = []
     for lineno, line in rows:
         fields = _fields(line, delimiter)
         if len(fields) < needed:
             raise RaggedRow(lineno, len(fields), needed)
-        try:
-            x = float(fields[ix])
-            y = float(fields[iy])
-        except ValueError:
-            x = y = math.nan
-        if x - x or y - y:  # nan for a nan or an inf, and for a refused field
-            x, y = (_stripped_value(fields, col, lineno) for col in (ix, iy))
-        xs.append(x)
-        ys.append(y)
+        xs.append(_stripped_value(fields, ix, lineno))
+        ys.append(_stripped_value(fields, iy, lineno))
     return xs, ys
 
 

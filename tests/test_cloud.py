@@ -44,6 +44,9 @@ class TestPointCloud:
         ([1.0, 2.0], [math.nan, 2.0], "component 0 is not finite: nan"),
         ([1.0, 2.0], [1.0], "xs and ys must have equal length, got 2 and 1"),
         ([1.7e308, 1.7e308, -math.inf], [1.0, 2.0, 3.0], "component 2 is not finite: -inf"),
+        # a string is not read one character at a time
+        ("123", "456", "a column must be a sequence of numbers, not str"),
+        ([1.0, 2.0], b"12", "a column must be a sequence of numbers, not bytes"),
     ])
     def test_validated_at_construction(self, xs, ys, message):
         with pytest.raises(ValueError, match=re.escape(message)):

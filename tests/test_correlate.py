@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from geomfit.correlate import (
     r_textbook,
     theta,
 )
-from geomfit.errors import DegenerateX, DegenerateY
+from geomfit.errors import DegenerateX, DegenerateY, ObjectiveOverflow
 from geomfit.regress import fit
 
 from conftest import EX1, EX2, random_cloud
@@ -90,6 +91,18 @@ class TestRTextbook:
     def test_degenerate_y(self):
         with pytest.raises(DegenerateY):
             r_textbook(PointCloud.from_columns([1, 3], [2, 2]))
+
+    @pytest.mark.parametrize("xs, ys, what", [
+        ([1, 2, 3, 4], [1e200, 2e200, 3.5e200, 3.9e200], "the sum of squared y"),
+        ([1, 2, 3, 4], [-1e200, 5e199, -3e200, 0], "the sum of squared y"),
+        ([1, 2, 3, 4], [1e308, 1e308, 1, 2], "the sum of y"),
+        ([1e100, 2e100, 3e100, 4e100], [1e100, 2e100, 3.1e100, 4e100],
+         "the product of the x and y variances"),
+    ])
+    def test_overflow_raises(self, xs, ys, what):
+        # Not r = 1.0 or 0.0 from an inf or a nan, nor fsum's own OverflowError.
+        with pytest.raises(ObjectiveOverflow, match=re.escape(f"{what} overflows float64")):
+            r_textbook(PointCloud.from_columns(xs, ys))
 
 
 class TestClassify:

@@ -412,13 +412,32 @@ def test_multi_chunk_documents(monkeypatch, case, chunk_rows):
 
 
 def test_clean_chunks_skip_the_row_loop(monkeypatch):
-    # Equal-width numeric rows, also with CRLF endings and a trailing blank
-    # line, convert without the per-row loop.
+    # Equal-width numeric rows, also with CRLF endings, convert without the
+    # per-row loop.
     def row_loop(*args):
         raise AssertionError("per-row loop used")
     monkeypatch.setattr(dataio, "_CHUNK_ROWS", 3)
     monkeypatch.setattr(dataio, "_row_columns", row_loop)
     for ending in ("\n", "\r\n"):
-        content = "id,x,y" + "".join(f"{ending}{i},{i / 8!r},{-i}" for i in range(10)) + ending * 2
+        content = "id,x,y" + "".join(f"{ending}{i},{i / 8!r},{-i}" for i in range(10)) + ending
         cloud = parse(DatasetSpec(x_col="x", y_col="y"), content)
         assert cloud.xs == [i / 8 for i in range(10)] and cloud.ys == [-i for i in range(10)]
+
+
+def test_blank_tail_takes_the_row_loop(monkeypatch):
+    # Trailing blank lines are not cut from a chunk: the last chunk, which
+    # holds them, goes through the per-row loop, and only that chunk.
+    row_columns = dataio._row_columns
+    seen = []
+
+    def spy(rows, *args):
+        rows = list(rows)
+        seen.append(rows)
+        return row_columns(iter(rows), *args)
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(dataio, "_row_columns", spy)
+    content = "1,2\n3,4\n5,6\n7,8\n\n \r\n"
+    assert _outcome(parse, DatasetSpec(), content) == _outcome(
+        _reference_parse, DatasetSpec(), content
+    )
+    assert seen == [[(4, "7,8\n")]]
