@@ -92,6 +92,10 @@ ones_dot_u (normalized):     {ones_dot_u_normalized:.3e}
 """
 
 
+# json.dumps(indent=2) of a flat non-empty report, by the C encoder that indent turns off.
+_JSON_ITEMS = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
 def render_report(report: dict, fmt: str = "text") -> str:
     """Serialize a report deterministically.
 
@@ -99,7 +103,7 @@ def render_report(report: dict, fmt: str = "text") -> str:
     is rounded for reading (slope/intercept at 4 decimals, angle at 2).
     """
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return "{\n  " + _JSON_ITEMS.encode(report)[1:-1] + "\n}\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     return _TEXT_REPORT.format_map(report)

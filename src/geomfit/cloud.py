@@ -5,7 +5,8 @@ when it is built.  Centering subtracts the column means, moving the center
 of mass to the origin; the centered columns i (from x) and u (from y) are
 plain lists too.  Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i
 are each computed once, by exactly rounded :func:`math.fsum`, and cached on
-the centered cloud for the fit, the correlation and the diagnostics.
+the centered cloud for the fit, the correlation and the diagnostics.  The estimator's
+float64 arrays (told apart by ``dtype``) are centered and multiplied as lists are, by numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def finite(value: float, what: str) -> float:
 def finite_fsum(terms: Iterable[float], what: str) -> float:
     """Exactly rounded sum of ``terms``, which must be finite."""
     try:
-        return finite(math.fsum(terms), what)
+        return finite(math.fsum(terms.tolist() if hasattr(terms, "dtype") else terms), what)
     except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf + -inf
         return finite(math.inf, what)
 
@@ -42,8 +43,10 @@ def finite_column(values: Iterable[float]) -> list[float]:
     """``values`` as a list of floats; ValueError for a string, no values, a nan or an inf."""
     if isinstance(values, (str, bytes)):  # else read one character at a time
         raise ValueError(f"a column must be a sequence of numbers, not {type(values).__name__}")
-    # A numpy array's tolist() converts it in one call, not element by element.
-    col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
+    if getattr(values, "dtype", None) == "float64" and values.ndim == 1:
+        col = values.tolist()  # already Python floats
+    else:  # a numpy array's tolist() converts it in one call, not element by element
+        col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
     if not col:
         raise ValueError("a vector needs at least one component")
     if not math.isfinite(sum(col)):  # a nan or an inf, or an overflow the scan lets pass
@@ -51,6 +54,11 @@ def finite_column(values: Iterable[float]) -> list[float]:
             if not math.isfinite(c):
                 raise ValueError(f"component {k} is not finite: {c!r}")
     return col
+
+
+def _products(a: Sequence[float], b: Sequence[float]) -> Iterable[float]:
+    """Elementwise a*b: float64 arrays all at once, other columns pair by pair."""
+    return a * b if hasattr(a, "dtype") else map(mul, a, b)
 
 
 @dataclass(frozen=True)
@@ -85,9 +93,10 @@ class CenteredCloud:
     """Centroid plus the centered predictor/response columns.
 
     ``i_vec`` holds the centered x column, ``u_vec`` the centered y column.
-    Both sum to zero up to floating-point roundoff.  ``sxx``, ``syy`` and
-    ``sxy`` are their sums of products, computed on first use; a sum that
-    overflows float64 raises :class:`ObjectiveOverflow`.
+    Both sum to zero up to floating-point roundoff.  They are lists, or
+    float64 arrays when the estimator centers its validated arrays.  ``sxx``,
+    ``syy`` and ``sxy`` are their sums of products, computed on first use; a
+    sum that overflows float64 raises :class:`ObjectiveOverflow`.
     """
 
     centroid_x: float
@@ -104,15 +113,15 @@ class CenteredCloud:
 
     @cached_property
     def sxx(self) -> float:
-        return finite_fsum(map(mul, self.i_vec, self.i_vec), "the sum of squared x deviations")
+        return finite_fsum(_products(self.i_vec, self.i_vec), "the sum of squared x deviations")
 
     @cached_property
     def syy(self) -> float:
-        return finite_fsum(map(mul, self.u_vec, self.u_vec), "the sum of squared y deviations")
+        return finite_fsum(_products(self.u_vec, self.u_vec), "the sum of squared y deviations")
 
     @cached_property
     def sxy(self) -> float:
-        return finite_fsum(map(mul, self.u_vec, self.i_vec), "the sum of x-y deviation products")
+        return finite_fsum(_products(self.u_vec, self.i_vec), "the sum of x-y deviation products")
 
 
 def centroid(cloud: PointCloud) -> tuple[float, float]:
@@ -124,9 +133,6 @@ def centroid(cloud: PointCloud) -> tuple[float, float]:
 def center(cloud: PointCloud) -> CenteredCloud:
     """Translate the cloud so its center of mass lands at the origin."""
     x_bar, y_bar = centroid(cloud)
-    return CenteredCloud(
-        centroid_x=x_bar,
-        centroid_y=y_bar,
-        i_vec=[x - x_bar for x in cloud.xs],
-        u_vec=[y - y_bar for y in cloud.ys],
-    )
+    if hasattr(cloud.xs, "dtype"):  # the estimator's float64 arrays
+        return CenteredCloud(x_bar, y_bar, cloud.xs - x_bar, cloud.ys - y_bar)
+    return CenteredCloud(x_bar, y_bar, [x - x_bar for x in cloud.xs], [y - y_bar for y in cloud.ys])

@@ -78,8 +78,8 @@ def r_textbook(cloud: PointCloud) -> float:
     sxy = finite_fsum((x * y for x, y in zip(cloud.xs, cloud.ys)), "the sum of x-y products")
     sxx = finite_fsum((x * x for x in cloud.xs), "the sum of squared x")
     syy = finite_fsum((y * y for y in cloud.ys), "the sum of squared y")
-    var_x = sxx - sx * sx / n
-    var_y = syy - sy * sy / n
+    var_x = sxx - sx * (sx / n)
+    var_y = syy - sy * (sy / n)
     max_x = max(abs(x) for x in cloud.xs)
     max_y = max(abs(y) for y in cloud.ys)
     eps = 1e-12
@@ -87,7 +87,7 @@ def r_textbook(cloud: PointCloud) -> float:
         raise DegenerateX("x variance is zero within tolerance")
     if var_y <= n * eps * max(1.0, max_y * max_y):
         raise DegenerateY("y variance is zero within tolerance")
-    num = sxy - sx * sy / n
+    num = sxy - sx * (sy / n)
     var_xy = finite(var_x * var_y, "the product of the x and y variances")
     return max(-1.0, min(1.0, num / math.sqrt(var_xy)))
 

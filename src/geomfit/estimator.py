@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cloud import PointCloud
 from .correlate import correlate
 from .diagnostics import sse as residual_sse
 from .regress import fit as geometric_fit
@@ -41,6 +40,16 @@ def _xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+class _Columns:
+    """Validated float64 columns, which ``geometric_fit`` centers and multiplies as arrays."""
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.xs, self.ys = xs, ys
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+
 class GeometricLinearRegression:
     """Single-feature least-squares line, fitted by orthogonal projection.
 
@@ -49,29 +58,34 @@ class GeometricLinearRegression:
     """
 
     def fit(self, X, y):
-        xs, ys = _xy(X, y)
-        cloud = PointCloud(xs, ys)
-        result = geometric_fit(cloud)
-        corr = correlate(result.centered)
+        cloud = _Columns(*_xy(X, y))
+        # An overflow reaches finite_fsum as inf, as on a list, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = geometric_fit(cloud)
+            corr = correlate(result.centered)
+            sse = residual_sse(result)
         self.slope_ = result.slope
         self.intercept_ = result.intercept
         self.theta_deg_ = corr.theta_deg
         self.r_ = corr.r
         self.correlation_class_ = corr.cls.value
-        self.sse_ = residual_sse(result)
+        self.sse_ = sse
         self.n_points_ = len(cloud)
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def _check_fitted(self) -> None:
         if not hasattr(self, "slope_"):
             raise RuntimeError("estimator is not fitted; call fit(X, y) first")
-        xs = _as_1d_column(X, "X")
-        return self.slope_ * xs + self.intercept_
+
+    def predict(self, X) -> np.ndarray:
+        self._check_fitted()
+        return self.slope_ * _as_1d_column(X, "X") + self.intercept_
 
     def score(self, X, y) -> float:
         """Coefficient of determination R^2."""
         xs, ys = _xy(X, y)
-        pred = self.predict(xs)
+        self._check_fitted()
+        pred = self.slope_ * xs + self.intercept_
         ss_res = float(np.sum((ys - pred) ** 2))
         ss_tot = float(np.sum((ys - ys.mean()) ** 2))
         if ss_tot == 0.0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import fsum, inf
 
 from .cloud import PointCloud, finite
-from .errors import BoxTooSmall
+from .errors import BoxTooSmall, ObjectiveOverflow
 
 __all__ = ["SearchBox", "sse_of", "grid_search_fit", "gradient_check", "default_box"]
 
@@ -95,7 +95,10 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by finite
         n = len(cloud)
-        x_bar = fsum(cloud.xs) / n
+        try:
+            x_bar = fsum(cloud.xs) / n
+        except OverflowError:  # fsum's intermediate overflow
+            raise ObjectiveOverflow("the sum of x overflows float64") from None
         ys = np.array(cloud.ys, dtype=float)
         dx = np.array(cloud.xs, dtype=float) - x_bar
         res = np.empty(n)  # the objective's work buffer

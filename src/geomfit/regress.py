@@ -13,9 +13,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from typing import Sequence
 
-from .cloud import CenteredCloud, PointCloud, center, finite, finite_fsum
+from .cloud import CenteredCloud, PointCloud, _products, center, finite, finite_fsum
 from .errors import DegenerateX, TooFewPoints
 
 __all__ = ["FitResult", "fit_slope_centered", "fit", "predict"]
@@ -33,22 +33,26 @@ class FitResult:
     centered: CenteredCloud
 
     @cached_property
-    def residual(self) -> list[float]:
-        """Observed minus fitted centered responses, u - slope*i."""
-        a = self.slope
-        return [u - a * i for u, i in zip(self.centered.u_vec, self.centered.i_vec)]
+    def residual(self) -> Sequence[float]:
+        """Observed minus fitted centered responses, u - slope*i, of the columns' kind."""
+        a, i_vec, u_vec = self.slope, self.centered.i_vec, self.centered.u_vec
+        if hasattr(i_vec, "dtype"):
+            return u_vec - a * i_vec
+        return [u - a * i for u, i in zip(u_vec, i_vec)]
 
     @cached_property
     def sse(self) -> float:
         """Sum of squared residuals."""
-        return finite_fsum(map(mul, self.residual, self.residual), "the sum of squared residuals")
+        return finite_fsum(_products(self.residual, self.residual), "the sum of squared residuals")
 
 
 def _degenerate_x(c: CenteredCloud) -> bool:
     # Treat a squared spread at roundoff scale as zero rather than dividing
     # by it and returning an enormous slope.  Rounding is monotonic, so the
     # largest |x_bar + i| sits at the smallest or the largest i.
-    max_x = max(abs(c.centroid_x + min(c.i_vec)), abs(c.centroid_x + max(c.i_vec)))
+    i = c.i_vec
+    lo, hi = (float(i.min()), float(i.max())) if hasattr(i, "dtype") else (min(i), max(i))
+    max_x = max(abs(c.centroid_x + lo), abs(c.centroid_x + hi))
     return c.sxx <= len(c) * _EPS * max(1.0, max_x * max_x)
 
 

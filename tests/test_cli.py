@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from geomfit.dataio import EXAMPLE_DATASETS, example_csv_text
 from geomfit.errors import BoxTooSmall
 from geomfit.regress import fit
 
-from conftest import EX1, EX2
+from conftest import EX1, EX2, random_cloud
 
 _SRC = Path(geomfit.__file__).resolve().parent.parent
 
@@ -153,6 +154,24 @@ class TestRenderReport:
     def test_text_deterministic(self, ex1_cloud):
         report = build_report(ex1_cloud)
         assert render_report(report, "text") == render_report(report, "text")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_json_is_json_dumps_indent_2(self, ex1_cloud, ex2_cloud, seed):
+        rng = random.Random(seed)
+        cloud = [ex1_cloud, ex2_cloud][seed % 2] if seed < 2 else random_cloud(rng)
+        report = build_report(cloud)
+        assert render_report(report, "json") == json.dumps(report, indent=2) + "\n"
+
+    @given(st.dictionaries(
+        st.text(min_size=0, max_size=8),
+        st.one_of(
+            st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=8),
+            st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, "é", "\u2603"]),
+        ),
+        min_size=1, max_size=14,
+    ))
+    def test_json_of_any_flat_report(self, report):
+        assert render_report(report, "json") == json.dumps(report, indent=2) + "\n"
 
     def test_json_full_precision(self, ex1_cloud):
         report = build_report(ex1_cloud)

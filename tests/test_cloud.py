@@ -1,5 +1,6 @@
 import math
 import re
+from array import array
 
 import pytest
 from hypothesis import given
@@ -38,6 +39,13 @@ class TestPointCloud:
         assert c.xs == [1.0, 2.0] and c.ys == [3.5, 4.0]
         assert all(type(v) is float for v in c.xs + c.ys)
 
+    def test_float64_array_columns_are_their_tolist(self):
+        np = pytest.importorskip("numpy")
+        xs = np.array([-0.0, 5e-324, 1e308, -2.5])
+        c = PointCloud(xs, xs[::-1])
+        assert c.xs == xs.tolist() and c.ys == xs[::-1].tolist()
+        assert all(type(v) is float for v in c.xs + c.ys)
+
     @pytest.mark.parametrize("xs, ys, message", [
         ([], [], "a vector needs at least one component"),
         ([1.0, math.inf], [1.0, 2.0], "component 1 is not finite: inf"),
@@ -71,6 +79,13 @@ class TestCachedSums:
         assert math.isfinite(c.sxx) and math.isfinite(c.sxy)
         with pytest.raises(ObjectiveOverflow, match="sum of squared y deviations overflows"):
             c.syy
+
+    def test_array_array_columns_sum_as_lists(self, ex1_cloud):
+        # array.array has tolist() but no dtype, so its columns multiply pair
+        # by pair; array * array would raise, not multiply elementwise.
+        c = center(ex1_cloud)
+        a = CenteredCloud(c.centroid_x, c.centroid_y, array("d", c.i_vec), array("d", c.u_vec))
+        assert (a.sxx, a.syy, a.sxy) == (c.sxx, c.syy, c.sxy)
 
     def test_overflowing_centroid_raises(self):
         cloud = PointCloud.from_columns([1.6e308, 1.7e308, 1.65e308], [1.0, 2.0, 3.0])

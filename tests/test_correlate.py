@@ -104,6 +104,15 @@ class TestRTextbook:
         with pytest.raises(ObjectiveOverflow, match=re.escape(f"{what} overflows float64")):
             r_textbook(PointCloud.from_columns(xs, ys))
 
+    def test_squared_sum_of_y_overflowing_is_not_a_constant_y(self):
+        # (sum y)^2 overflows although sum y and sum y^2 do not: squaring
+        # first made var_y = -inf, a false DegenerateY.
+        rng = random.Random(1)
+        xs = [float(x) for x in range(1, 1001)]
+        ys = [1e152 * (1 + x / 1000 + 0.05 * rng.random()) for x in xs]
+        with pytest.raises(ObjectiveOverflow, match="the product of the x and y variances"):
+            r_textbook(PointCloud.from_columns(xs, ys))
+
 
 class TestClassify:
     @pytest.mark.parametrize(

@@ -422,6 +422,12 @@ class TestMatchesScalarReference:
         with pytest.raises(ObjectiveOverflow):
             grid_search_fit(LINE_2X1, default_box(2.0, 1.0))
 
+    def test_fsum_overflow_in_the_centroid(self):
+        # Finite x whose sum overflows: not fsum's own OverflowError.
+        cloud = PointCloud([1e308, 1e308, -1e308, 5.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ObjectiveOverflow, match="^the sum of x overflows float64$"):
+            grid_search_fit(cloud, SearchBox(-1.0, 1.0, -1.0, 1.0))
+
     def test_deep_refinement(self, monkeypatch):
         # After about 20 rounds the grid cell is below the objective's
         # rounding noise, so most grid points are near-ties: the exact
