@@ -46,6 +46,8 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 VERIFY_SLOPE_TOLERANCE = 1e-5
+# json.dumps(indent=2) of a flat non-empty mapping, by the C encoder that indent turns off.
+_JSON_ITEMS = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
 def _equation(a: float, b: float) -> str:
@@ -92,18 +94,16 @@ ones_dot_u (normalized):     {ones_dot_u_normalized:.3e}
 """
 
 
-# json.dumps(indent=2) of a flat non-empty report, by the C encoder that indent turns off.
-_JSON_ITEMS = json.JSONEncoder(separators=(",\n  ", ": "))
-
-
 def render_report(report: dict, fmt: str = "text") -> str:
     """Serialize a report deterministically.
 
-    JSON keeps full-precision values in the report's key order; the text form
-    is rounded for reading (slope/intercept at 4 decimals, angle at 2).
+    JSON is ``json.dumps(report, indent=2)``, full precision in the report's
+    key order; the text form is rounded for reading (slope/intercept at 4 decimals, angle at 2).
     """
     if fmt == "json":
-        return "{\n  " + _JSON_ITEMS.encode(report)[1:-1] + "\n}\n"
+        if report and not any(isinstance(v, (dict, list, tuple)) for v in report.values()):
+            return "{\n  " + _JSON_ITEMS.encode(report)[1:-1] + "\n}\n"
+        return json.dumps(report, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     return _TEXT_REPORT.format_map(report)

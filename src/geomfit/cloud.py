@@ -5,8 +5,10 @@ when it is built.  Centering subtracts the column means, moving the center
 of mass to the origin; the centered columns i (from x) and u (from y) are
 plain lists too.  Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i
 are each computed once, by exactly rounded :func:`math.fsum`, and cached on
-the centered cloud for the fit, the correlation and the diagnostics.  The estimator's
-float64 arrays (told apart by ``dtype``) are centered and multiplied as lists are, by numpy.
+the centered cloud for the fit, the correlation and the diagnostics.  The
+estimator's float64 arrays (told apart by ``dtype``) take the same steps: the
+column arithmetic here, the one place that tells the two kinds apart, rounds
+each element once, in the same order, for both.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ def finite(value: float, what: str) -> float:
 
 def finite_fsum(terms: Iterable[float], what: str) -> float:
     """Exactly rounded sum of ``terms``, which must be finite."""
+    if getattr(terms, "dtype", None) == "float64":  # read as Python floats, with no list built
+        terms = memoryview(terms)
     try:
-        return finite(math.fsum(terms.tolist() if hasattr(terms, "dtype") else terms), what)
+        return finite(math.fsum(terms), what)
     except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf + -inf
         return finite(math.inf, what)
 
@@ -56,9 +60,18 @@ def finite_column(values: Iterable[float]) -> list[float]:
     return col
 
 
-def _products(a: Sequence[float], b: Sequence[float]) -> Iterable[float]:
+def products(a: Sequence[float], b: Sequence[float]) -> Iterable[float]:
     """Elementwise a*b: float64 arrays all at once, other columns pair by pair."""
     return a * b if hasattr(a, "dtype") else map(mul, a, b)
+
+
+def minus_scaled(u: Sequence[float], a: float, i: Sequence[float]) -> Sequence[float]:
+    """Elementwise u - a*i, of the columns' kind."""
+    return u - a * i if hasattr(u, "dtype") else [p - a * q for p, q in zip(u, i)]
+
+
+def _deviations(col: Sequence[float], origin: float) -> Sequence[float]:
+    return col - origin if hasattr(col, "dtype") else [v - origin for v in col]
 
 
 @dataclass(frozen=True)
@@ -113,15 +126,15 @@ class CenteredCloud:
 
     @cached_property
     def sxx(self) -> float:
-        return finite_fsum(_products(self.i_vec, self.i_vec), "the sum of squared x deviations")
+        return finite_fsum(products(self.i_vec, self.i_vec), "the sum of squared x deviations")
 
     @cached_property
     def syy(self) -> float:
-        return finite_fsum(_products(self.u_vec, self.u_vec), "the sum of squared y deviations")
+        return finite_fsum(products(self.u_vec, self.u_vec), "the sum of squared y deviations")
 
     @cached_property
     def sxy(self) -> float:
-        return finite_fsum(_products(self.u_vec, self.i_vec), "the sum of x-y deviation products")
+        return finite_fsum(products(self.u_vec, self.i_vec), "the sum of x-y deviation products")
 
 
 def centroid(cloud: PointCloud) -> tuple[float, float]:
@@ -133,6 +146,4 @@ def centroid(cloud: PointCloud) -> tuple[float, float]:
 def center(cloud: PointCloud) -> CenteredCloud:
     """Translate the cloud so its center of mass lands at the origin."""
     x_bar, y_bar = centroid(cloud)
-    if hasattr(cloud.xs, "dtype"):  # the estimator's float64 arrays
-        return CenteredCloud(x_bar, y_bar, cloud.xs - x_bar, cloud.ys - y_bar)
-    return CenteredCloud(x_bar, y_bar, [x - x_bar for x in cloud.xs], [y - y_bar for y in cloud.ys])
+    return CenteredCloud(x_bar, y_bar, _deviations(cloud.xs, x_bar), _deviations(cloud.ys, y_bar))

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
-from .cloud import _products, finite_fsum
+from .cloud import finite_fsum
 from .regress import FitResult
 
 __all__ = ["DiagnosticsReport", "residuals", "sse", "orthogonality_report"]
@@ -56,7 +57,7 @@ def orthogonality_report(fit_result: FitResult) -> DiagnosticsReport:
     """Residual norm plus the three orthogonality dot products."""
     c = fit_result.centered
     res = fit_result.residual
-    r_dot_i = finite_fsum(_products(res, c.i_vec), "the residual-x product")
+    r_dot_i = finite_fsum(map(mul, res, c.i_vec), "the residual-x product")
     w_dot_i = finite_fsum(c.i_vec, "the sum of x deviations")
     w_dot_u = finite_fsum(c.u_vec, "the sum of y deviations")
     sqrt_n = math.sqrt(len(c))

@@ -27,7 +27,7 @@ def _as_1d_column(X, name: str) -> np.ndarray:
         )
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -85,9 +85,9 @@ class GeometricLinearRegression:
         """Coefficient of determination R^2."""
         xs, ys = _xy(X, y)
         self._check_fitted()
-        pred = self.slope_ * xs + self.intercept_
-        ss_res = float(np.sum((ys - pred) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+        res = ys - (self.slope_ * xs + self.intercept_)
+        dev = ys - ys.sum() / len(ys)  # ys.mean(), without its Python-level wrapper
+        ss_res, ss_tot = float((res * res).sum()), float((dev * dev).sum())
         if ss_tot == 0.0:
             return 1.0 if ss_res == 0.0 else 0.0
         return 1.0 - ss_res / ss_tot

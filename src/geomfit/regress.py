@@ -10,12 +10,13 @@ float64 raises :class:`ObjectiveOverflow`.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .cloud import CenteredCloud, PointCloud, _products, center, finite, finite_fsum
+from .cloud import CenteredCloud, PointCloud, center, finite, finite_fsum, minus_scaled, products
 from .errors import DegenerateX, TooFewPoints
 
 __all__ = ["FitResult", "fit_slope_centered", "fit", "predict"]
@@ -35,25 +36,25 @@ class FitResult:
     @cached_property
     def residual(self) -> Sequence[float]:
         """Observed minus fitted centered responses, u - slope*i, of the columns' kind."""
-        a, i_vec, u_vec = self.slope, self.centered.i_vec, self.centered.u_vec
-        if hasattr(i_vec, "dtype"):
-            return u_vec - a * i_vec
-        return [u - a * i for u, i in zip(u_vec, i_vec)]
+        return minus_scaled(self.centered.u_vec, self.slope, self.centered.i_vec)
 
     @cached_property
     def sse(self) -> float:
         """Sum of squared residuals."""
-        return finite_fsum(_products(self.residual, self.residual), "the sum of squared residuals")
+        return finite_fsum(products(self.residual, self.residual), "the sum of squared residuals")
 
 
 def _degenerate_x(c: CenteredCloud) -> bool:
     # Treat a squared spread at roundoff scale as zero rather than dividing
     # by it and returning an enormous slope.  Rounding is monotonic, so the
-    # largest |x_bar + i| sits at the smallest or the largest i.
-    i = c.i_vec
-    lo, hi = (float(i.min()), float(i.max())) if hasattr(i, "dtype") else (min(i), max(i))
-    max_x = max(abs(c.centroid_x + lo), abs(c.centroid_x + hi))
-    return c.sxx <= len(c) * _EPS * max(1.0, max_x * max_x)
+    # largest |x_bar + i| sits at the smallest or the largest i.  No |i| tops
+    # sqrt(Sxx), so a spread above the cutoff of |x_bar| + sqrt(Sxx), widened
+    # past its roundings, is above the exact cutoff too and skips that scan.
+    n_eps, bound = len(c) * _EPS, (abs(c.centroid_x) + math.sqrt(c.sxx)) * (1.0 + 2.0**-40)
+    if c.sxx > n_eps * max(1.0, bound * bound):
+        return False
+    max_x = max(abs(c.centroid_x + min(c.i_vec)), abs(c.centroid_x + max(c.i_vec)))
+    return c.sxx <= n_eps * max(1.0, max_x * max_x)
 
 
 def fit_slope_centered(c: CenteredCloud) -> float:

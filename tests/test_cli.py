@@ -164,13 +164,18 @@ class TestRenderReport:
 
     @given(st.dictionaries(
         st.text(min_size=0, max_size=8),
-        st.one_of(
-            st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=8),
-            st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, "é", "\u2603"]),
+        st.recursive(  # mostly flat reports; also empty and nested ones
+            st.one_of(
+                st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=8),
+                st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, "é", "\u2603"]),
+            ),
+            lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+            max_leaves=4,
         ),
-        min_size=1, max_size=14,
+        max_size=14,
     ))
-    def test_json_of_any_flat_report(self, report):
+    def test_json_of_any_report(self, report):
         assert render_report(report, "json") == json.dumps(report, indent=2) + "\n"
 
     def test_json_full_precision(self, ex1_cloud):

@@ -133,6 +133,7 @@ def _seeded_columns():
             0.37115142522120054, -0.6480052835601715],
            [7.90792144266329e+153, -6.0463752196513474e+153, -6.173985546071386e+153,
             3.312660983695328e+153, 6.0581362952735374e+153])
+    yield [1e155, 1.000001e155], [1.0, 2.0]  # the cutoff overflows, so the scan runs
     for x1 in (1.0000000298023233, 1.0000000298023235):  # either side of DegenerateX
         yield [1.0, x1], [0.0, 1.0]
         yield [-1.0, -x1], [0.0, 1.0]
