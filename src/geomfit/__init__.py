@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # The estimator needs numpy: import it on first use (PEP 562), so that
-    # `geomfit fit` and `geomfit plot` never load numpy.
+    # `geomfit fit` and `geomfit plot` never load numpy.  It is left out of
+    # `__all__`, so `from geomfit import *` works where numpy is not installed.
     if name == "GeometricLinearRegression":
         from .estimator import GeometricLinearRegression
         return GeometricLinearRegression
@@ -41,7 +42,6 @@ __all__ = [
     "r_cosine", "r_textbook", "theta",
     "DiagnosticsReport", "orthogonality_report", "residuals", "sse",
     "SearchBox", "default_box", "gradient_check", "grid_search_fit", "sse_of",
-    "GeometricLinearRegression",
     "render_svg", "svg_chunks",
     "GeomfitError", "DimensionMismatch", "TooFewPoints", "DegenerateX",
     "DegenerateY", "DataError", "ParseError", "EmptyDataset", "ColumnNotFound",

@@ -50,10 +50,15 @@ def _degenerate_x(c: CenteredCloud) -> bool:
     # largest |x_bar + i| sits at the smallest or the largest i.  No |i| tops
     # sqrt(Sxx), so a spread above the cutoff of |x_bar| + sqrt(Sxx), widened
     # past its roundings, is above the exact cutoff too and skips that scan.
+    # Where max_x**2 overflows (max_x above about 1.34e154), the cutoff would be
+    # inf and refuse every cloud, so Sxx / max_x is compared with n*eps*max_x,
+    # which stays finite and is within two roundings of the same rule.
     n_eps, bound = len(c) * _EPS, (abs(c.centroid_x) + math.sqrt(c.sxx)) * (1.0 + 2.0**-40)
     if c.sxx > n_eps * max(1.0, bound * bound):
         return False
     max_x = max(abs(c.centroid_x + min(c.i_vec)), abs(c.centroid_x + max(c.i_vec)))
+    if math.isinf(max_x * max_x):
+        return c.sxx / max_x <= n_eps * max_x
     return c.sxx <= n_eps * max(1.0, max_x * max_x)
 
 

@@ -2,20 +2,20 @@
 
 Byte-identical output for identical inputs: coordinates are formatted with a
 fixed number of decimals and nothing depends on dict ordering, locale, or
-time.  The data-to-pixel transform is exposed so consumers (and tests) can
-map pixel coordinates back to data coordinates.
+time.  ``PlotFrame`` holds the one data-to-pixel map, which places every
+circle, tick label and line end; ``to_data`` maps pixels back to data.
 
-The renderer scans each column for its min and max once, for the frame and
-the tick labels.  ``svg_chunks`` yields the circles a block of
-``_BLOCK_POINTS`` at a time, each block formatted by one ``%`` against a
-template of that many circle lines, so a writer never holds the document.
+The renderer scans each column for its min and max and predicts the line's
+ends once.  ``svg_chunks`` yields the circles a block of ``_BLOCK_POINTS`` at
+a time, each block formatted by one ``%`` against a template of that many
+circle lines, so a writer never holds the document.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .cloud import PointCloud, finite
@@ -63,9 +63,15 @@ class PlotFrame:
         return self.height - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
-        px = _MARGIN_LEFT + (x - self.x_lo) / (self.x_hi - self.x_lo) * self.plot_width
-        py = _MARGIN_TOP + (self.y_hi - y) / (self.y_hi - self.y_lo) * self.plot_height
+        (px,), (py,) = self._px((x,), (y,))
         return px, py
+
+    def _px(self, xs: Iterable[float], ys: Iterable[float]) -> tuple[list[float], list[float]]:
+        """Pixel x of each data x and pixel y of each data y; spans and sizes read once."""
+        x_lo, x_span, plot_w = self.x_lo, self.x_hi - self.x_lo, self.plot_width
+        y_hi, y_span, plot_h = self.y_hi, self.y_hi - self.y_lo, self.plot_height
+        return ([_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs],
+                [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in ys])
 
     def to_data(self, px: float, py: float) -> tuple[float, float]:
         x = self.x_lo + (px - _MARGIN_LEFT) / self.plot_width * (self.x_hi - self.x_lo)
@@ -82,8 +88,8 @@ def plot_frame(cloud: PointCloud, fit_result: FitResult, width: float, height: f
 
 
 def _frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float
-           ) -> tuple[PlotFrame, tuple[float, float, float, float]]:
-    """The plot's frame and the data's (min x, max x, min y, max y), each column scanned once.
+           ) -> tuple[PlotFrame, tuple[float, float, float, float], tuple[float, float]]:
+    """The frame, the data's (min x, max x, min y, max y) and the line's heights at x_lo, x_hi.
 
     The size is checked as given, before ``float`` could overflow on a huge int.
     """
@@ -102,7 +108,7 @@ def _frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float
     y_pad = _PAD_FRACTION * y_span if y_span > 0 else max(1.0, math.ulp(y_max))
     y_lo, y_hi = y_min - y_pad, y_max + y_pad
     finite(y_hi - y_lo, "the plot's y range")
-    return PlotFrame(float(width), float(height), x_lo, x_hi, y_lo, y_hi), extrema
+    return PlotFrame(float(width), float(height), x_lo, x_hi, y_lo, y_hi), extrema, line_ys
 
 
 def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480
@@ -112,10 +118,11 @@ def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
     The frame is built on the call: a bad size (ValueError) or y range (ObjectiveOverflow)
     raises before any chunk.  The chunks are the head, each block of circles, and ``</svg>``.
     """
-    frame, (x_min, x_max, y_min, y_max) = _frame(cloud, fit_result, width, height)
+    frame, (x_min, x_max, y_min, y_max), line_ys = _frame(cloud, fit_result, width, height)
     ox, oy = _MARGIN_LEFT, float(height) - _MARGIN_BOTTOM
+    tick_pxs, tick_pys = frame._px((x_min, x_max), (y_min, y_max))  # labels of the extrema
     # Fitted line clipped to the padded x-range.
-    ends = [frame.to_px(x, predict(fit_result, x)) for x in (frame.x_lo, frame.x_hi)]
+    (x1, x2), (y1, y2) = frame._px((frame.x_lo, frame.x_hi), line_ys)
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -123,21 +130,15 @@ def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
         # Axes along the left and bottom plot edges.
         _LINE % (ox, oy, float(width) - _MARGIN_RIGHT, oy, "black", "1"),
         _LINE % (ox, oy, ox, _MARGIN_TOP, "black", "1"),
-        # Min/max tick labels in data coordinates.
-        *[_TICK % (frame.to_px(v, frame.y_lo)[0], oy + 18.0, "middle", v) for v in (x_min, x_max)],
-        *[_TICK % (ox - 6.0, frame.to_px(frame.x_lo, v)[1] + 4.0, "end", v) for v in (y_min, y_max)],
-        _LINE % (*ends[0], *ends[1], "crimson", "1.5"),
+        *[_TICK % (px, oy + 18.0, "middle", v) for px, v in zip(tick_pxs, (x_min, x_max))],
+        *[_TICK % (ox - 6.0, py + 4.0, "end", v) for py, v in zip(tick_pys, (y_min, y_max))],
+        _LINE % (x1, y1, x2, y2, "crimson", "1.5"),
     ]
 
     def chunks() -> Iterator[str]:
         yield "\n".join(head) + "\n"
-        # Points in file order; frame.to_px inlined for speed, in its operation order.
-        x_lo, x_span, plot_w = frame.x_lo, frame.x_hi - frame.x_lo, frame.plot_width
-        y_hi, y_span, plot_h = frame.y_hi, frame.y_hi - frame.y_lo, frame.plot_height
-        xs, ys = cloud.xs, cloud.ys
-        for lo in range(0, len(xs), _BLOCK_POINTS):
-            pxs = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs[lo:lo + _BLOCK_POINTS]]
-            pys = [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in ys[lo:lo + _BLOCK_POINTS]]
+        for lo in range(0, len(cloud), _BLOCK_POINTS):  # points in file order
+            pxs, pys = frame._px(cloud.xs[lo:lo + _BLOCK_POINTS], cloud.ys[lo:lo + _BLOCK_POINTS])
             flat = pxs + pys
             flat[0::2], flat[1::2] = pxs, pys  # cx0, cy0, cx1, cy1, ...
             yield ((_CIRCLE + "\n") * len(pxs)) % tuple(flat)

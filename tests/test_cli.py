@@ -81,6 +81,12 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "x" in err.lower()
 
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    def test_distinct_x_whose_square_overflows(self, command, tmp_path, capsys):
+        path = tmp_path / "huge_x.csv"
+        path.write_text("x,y\n1e155,1\n1.000001e155,2\n", encoding="utf-8")
+        assert run([command, "--input", str(path)]) == EXIT_OK
+
     def test_missing_file(self, tmp_path, capsys):
         assert run(["fit", "--input", str(tmp_path / "nope.csv")]) == EXIT_DATA
 
@@ -397,6 +403,36 @@ def _fresh_run(*command: str) -> tuple[int, str, str]:
     proc = subprocess.run([sys.executable, *command], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": str(_SRC)})
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_star_import_without_numpy():
+    # numpy is an optional extra: the star import must not touch the estimator.
+    script = """
+import sys
+sys.modules["numpy"] = None
+from geomfit import *
+assert "GeometricLinearRegression" not in dir()
+cloud = PointCloud.from_columns([11, 12, 14, 16], [180, 175, 150, 130])
+result = fit(cloud)
+print(result.slope, result.intercept, correlate(result.centered).theta_deg)
+import geomfit
+try:
+    geomfit.GeometricLinearRegression
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("the attribute imported without numpy")
+try:
+    from geomfit import GeometricLinearRegression
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("the from-import imported without numpy")
+"""
+    code, out, err = _fresh_run("-c", script)
+    assert (code, err) == (0, "")
+    f = fit(geomfit.PointCloud.from_columns([11, 12, 14, 16], [180, 175, 150, 130]))
+    assert out.split()[:2] == [repr(f.slope), repr(f.intercept)]
 
 
 @pytest.mark.parametrize("command", [["verify"], ["fit", "--verify"]],

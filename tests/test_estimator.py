@@ -56,6 +56,10 @@ class TestFitPredict:
         with pytest.raises(DegenerateX):
             GeometricLinearRegression().fit([2.0, 2.0], [1.0, 3.0])
 
+    def test_distinct_x_whose_square_overflows(self):
+        est = GeometricLinearRegression().fit([1e155, 1.000001e155], [1.0, 2.0])
+        assert (est.slope_, est.intercept_) == (1.0000000000546436e-149, -999999.0000546436)
+
     def test_single_point_rejected(self):
         with pytest.raises(TooFewPoints):
             GeometricLinearRegression().fit([1.0], [2.0])

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -62,6 +63,50 @@ class TestDegenerateXThreshold:
         assert seen == {False, True}
 
 
+_SQRT_MAX = math.sqrt(sys.float_info.max)  # about 1.3408e154: max_x**2 overflows above it
+
+
+def _exact_cutoff(c) -> Fraction:
+    # n*eps*max(1, max_x**2) in rationals, on max_x as the code computes it.
+    max_x = Fraction(max(abs(c.centroid_x + xi) for xi in c.i_vec))
+    return len(c) * Fraction(sys.float_info.epsilon) * max(1, max_x * max_x)
+
+
+class TestDegenerateXAcrossOverflow:
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_exact_rule(self, side, sign, n):
+        # The largest |x| lies 2^-20 relative below or above sqrt(float max).
+        # Bisect the spread t to where the exact rule Sxx <= cutoff flips, then
+        # scan t in steps of 2^-30 across it, a fraction of an ulp of x
+        # there.  Below the boundary the float test must agree everywhere;
+        # above it, where Sxx / max_x is compared instead, everywhere but
+        # within 2 ulps of Sxx from the exact cutoff.
+        offset = sign * _SQRT_MAX * (1.0 + side * 2.0**-20)
+        rng = random.Random(2020 + n)
+        shape = [0.0, 1.0] + [rng.random() for _ in range(n - 2)]
+
+        def cloud(t):
+            return center(PointCloud.from_columns([offset + t * u for u in shape], [0.0] * n))
+
+        lo, hi = 0.0, abs(offset) * 2.0**-10
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            c = cloud(mid)
+            lo, hi = (mid, hi) if Fraction(c.sxx) <= _exact_cutoff(c) else (lo, mid)
+        seen = set()
+        for j in range(-96, 96):
+            c = cloud(hi * (1.0 + j * 2.0**-30))
+            sxx, cutoff = Fraction(c.sxx), _exact_cutoff(c)
+            assert (cutoff > n * Fraction(sys.float_info.epsilon * sys.float_info.max)) == (side == 1)
+            if side == 1 and abs(sxx - cutoff) <= 2 * Fraction(math.ulp(c.sxx)):
+                continue
+            assert _degenerate_x(c) == (sxx <= cutoff), (offset, n, j)
+            seen.add(_degenerate_x(c))
+        assert seen == {False, True}
+
+
 class TestFit:
     def test_example1(self, ex1_cloud):
         f = fit(ex1_cloud)
@@ -86,6 +131,14 @@ class TestFit:
     def test_degenerate_x(self):
         with pytest.raises(DegenerateX):
             fit(PointCloud.from_columns([7.0, 7.0], [0.0, 1.0]))
+
+    def test_distinct_x_whose_square_overflows(self):
+        # max_x**2 is inf above about 1.34e154; Sxx = 5e297 and the slope are finite.
+        cloud = PointCloud.from_columns([1e155, 1.000001e155], [1.0, 2.0])
+        f = fit(cloud)
+        slope, _, _ = exact_line(cloud)
+        assert f.slope == float(slope) == 1.0000000000546436e-149
+        assert f.intercept == -999999.0000546436
 
     def test_j_vec_is_scaled_i_vec(self, ex1_cloud):
         # The fitted centered responses j = u - residual are slope * i.
