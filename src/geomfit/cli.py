@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import dataio
-from .cloud import PointCloud
+from .cloud import PointCloud, quiet_overflow
 from .correlate import correlate
 from .diagnostics import orthogonality_report
 from .errors import BoxTooSmall, GeomfitError
@@ -58,9 +58,10 @@ def _equation(a: float, b: float) -> str:
 
 def build_report(cloud: PointCloud) -> dict:
     """The fit report as one mapping whose key order is the JSON contract."""
-    f = fit(cloud)
-    corr = correlate(f.centered)
-    diag = orthogonality_report(f)
+    with quiet_overflow(cloud):
+        f = fit(cloud)
+        corr = correlate(f.centered)
+        diag = orthogonality_report(f)
     return {
         "n": len(cloud),
         "centroid_x": f.centered.centroid_x,

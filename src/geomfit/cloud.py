@@ -1,19 +1,19 @@
 """Observed point clouds and the centroid translation.
 
-A cloud keeps its x and y columns as plain lists of floats, checked once,
-when it is built.  Centering subtracts the column means, moving the center
-of mass to the origin; the centered columns i (from x) and u (from y) are
-plain lists too.  Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i
-are each computed once, by exactly rounded :func:`math.fsum`, and cached on
-the centered cloud for the fit, the correlation and the diagnostics.  The
-estimator's float64 arrays (told apart by ``dtype``) take the same steps: the
-column arithmetic here, the one place that tells the two kinds apart, rounds
-each element once, in the same order, for both.
+A cloud keeps a 1-d float64 numpy array as a float64 array (told apart by
+``dtype``), any other column as a list of floats, each checked once, when it
+is built.  Centering subtracts the column means, moving the center of mass to
+the origin; the centered columns i (from x) and u (from y) keep that kind.
+Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i are each computed
+once, by exactly rounded :func:`math.fsum`, and cached on the centered cloud.
+The column arithmetic here, the one place that tells the kinds apart, rounds
+each element once, in the same order, so both kinds give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -21,9 +21,8 @@ from typing import Iterable, Sequence
 
 from .errors import ObjectiveOverflow
 
-__all__ = [
-    "PointCloud", "CenteredCloud", "centroid", "center", "finite", "finite_column", "finite_fsum",
-]
+__all__ = ["PointCloud", "CenteredCloud", "centroid", "center", "finite", "finite_column",
+           "finite_fsum", "quiet_overflow"]
 
 
 def finite(value: float, what: str) -> float:
@@ -43,14 +42,18 @@ def finite_fsum(terms: Iterable[float], what: str) -> float:
         return finite(math.inf, what)
 
 
-def finite_column(values: Iterable[float]) -> list[float]:
-    """``values`` as a list of floats; ValueError for a string, no values, a nan or an inf."""
+def finite_column(values: Iterable[float]) -> Sequence[float]:
+    """``values``, a 1-d float64 array as a copy (contiguous, and apart from later writes),
+    else as a list of floats; ValueError for a string, no values, a nan or an inf."""
+    # numpy's own arrays only (a masked array computes differently); min and max,
+    # unlike a sum, cannot overflow or warn, and a nan or an inf shows in one of them.
+    if type(values).__module__ == "numpy" and values.dtype == "float64" and values.ndim == 1:
+        if len(values) and math.isfinite(values.min()) and math.isfinite(values.max()):
+            return values.copy()
     if isinstance(values, (str, bytes)):  # else read one character at a time
         raise ValueError(f"a column must be a sequence of numbers, not {type(values).__name__}")
-    if getattr(values, "dtype", None) == "float64" and values.ndim == 1:
-        col = values.tolist()  # already Python floats
-    else:  # a numpy array's tolist() converts it in one call, not element by element
-        col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
+    # a numpy array's tolist() converts it in one call, not element by element
+    col = list(map(float, values.tolist() if hasattr(values, "tolist") else values))
     if not col:
         raise ValueError("a vector needs at least one component")
     if not math.isfinite(sum(col)):  # a nan or an inf, or an overflow the scan lets pass
@@ -58,6 +61,14 @@ def finite_column(values: Iterable[float]) -> list[float]:
             if not math.isfinite(c):
                 raise ValueError(f"component {k} is not finite: {c!r}")
     return col
+
+
+def quiet_overflow(cloud: PointCloud) -> AbstractContextManager:
+    """Context in which arithmetic on the cloud's float64 arrays overflows unwarned, as lists do."""
+    if not hasattr(cloud.xs, "dtype"):
+        return nullcontext()
+    import numpy  # loaded already: the columns are its arrays
+    return numpy.errstate(over="ignore", invalid="ignore")
 
 
 def products(a: Sequence[float], b: Sequence[float]) -> Iterable[float]:
@@ -76,7 +87,8 @@ def _deviations(col: Sequence[float], origin: float) -> Sequence[float]:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Raw observed pairs (x_i, y_i): equal-length finite columns, n >= 1."""
+    """Raw observed pairs (x_i, y_i): equal-length :func:`finite_column` columns, n >= 1;
+    two clouds are equal when their columns hold the same values, of either kind."""
 
     xs: Sequence[float]
     ys: Sequence[float]
@@ -90,6 +102,13 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.xs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PointCloud) and self.as_lists() == other.as_lists()
+
+    def as_lists(self) -> tuple[list[float], list[float]]:
+        """The columns as lists of floats, an array's by one ``tolist()``."""
+        return tuple(c.tolist() if hasattr(c, "dtype") else c for c in (self.xs, self.ys))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "PointCloud":
@@ -105,11 +124,10 @@ class PointCloud:
 class CenteredCloud:
     """Centroid plus the centered predictor/response columns.
 
-    ``i_vec`` holds the centered x column, ``u_vec`` the centered y column.
-    Both sum to zero up to floating-point roundoff.  They are lists, or
-    float64 arrays when the estimator centers its validated arrays.  ``sxx``,
-    ``syy`` and ``sxy`` are their sums of products, computed on first use; a
-    sum that overflows float64 raises :class:`ObjectiveOverflow`.
+    ``i_vec`` holds the centered x column, ``u_vec`` the centered y column; both sum
+    to zero up to roundoff, and are float64 arrays for a cloud of arrays, else lists.
+    ``sxx``, ``syy`` and ``sxy`` are their sums of products, computed on first use;
+    one that overflows float64 raises :class:`ObjectiveOverflow`.
     """
 
     centroid_x: float

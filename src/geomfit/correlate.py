@@ -73,15 +73,15 @@ def r_textbook(cloud: PointCloud) -> float:
     n = len(cloud)
     if n < 2:
         raise DegenerateX("need at least 2 points")
-    sx = finite_fsum(cloud.xs, "the sum of x")
-    sy = finite_fsum(cloud.ys, "the sum of y")
-    sxy = finite_fsum((x * y for x, y in zip(cloud.xs, cloud.ys)), "the sum of x-y products")
-    sxx = finite_fsum((x * x for x in cloud.xs), "the sum of squared x")
-    syy = finite_fsum((y * y for y in cloud.ys), "the sum of squared y")
+    xs, ys = cloud.as_lists()  # Python floats, whose products overflow unwarned
+    sx = finite_fsum(xs, "the sum of x")
+    sy = finite_fsum(ys, "the sum of y")
+    sxy = finite_fsum((x * y for x, y in zip(xs, ys)), "the sum of x-y products")
+    sxx = finite_fsum((x * x for x in xs), "the sum of squared x")
+    syy = finite_fsum((y * y for y in ys), "the sum of squared y")
     var_x = sxx - sx * (sx / n)
     var_y = syy - sy * (sy / n)
-    max_x = max(abs(x) for x in cloud.xs)
-    max_y = max(abs(y) for y in cloud.ys)
+    max_x, max_y = max(map(abs, xs)), max(map(abs, ys))
     eps = 1e-12
     if var_x <= n * eps * max(1.0, max_x * max_x):
         raise DegenerateX("x variance is zero within tolerance")

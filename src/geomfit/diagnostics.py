@@ -1,7 +1,7 @@
 """Residual diagnostics and orthogonality checks for a fitted line.
 
-The residual u - slope*i (a plain list cached on the fit, with its sum of
-squares) is the difference between observed and fitted centered responses.
+The residual u - slope*i (of the columns' kind, cached on the fit with its
+sum of squares) is the difference between observed and fitted centered responses.
 A correct fit makes it orthogonal to the centered predictor i, and centering
 makes both centered columns orthogonal to the all-ones vector, whose dot
 products are the columns' sums and whose norm is sqrt(n).  This module
@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
-from .cloud import finite_fsum
+from .cloud import finite_fsum, products
 from .regress import FitResult
 
 __all__ = ["DiagnosticsReport", "residuals", "sse", "orthogonality_report"]
@@ -57,7 +56,7 @@ def orthogonality_report(fit_result: FitResult) -> DiagnosticsReport:
     """Residual norm plus the three orthogonality dot products."""
     c = fit_result.centered
     res = fit_result.residual
-    r_dot_i = finite_fsum(map(mul, res, c.i_vec), "the residual-x product")
+    r_dot_i = finite_fsum(products(res, c.i_vec), "the residual-x product")
     w_dot_i = finite_fsum(c.i_vec, "the sum of x deviations")
     w_dot_u = finite_fsum(c.u_vec, "the sum of y deviations")
     sqrt_n = math.sqrt(len(c))

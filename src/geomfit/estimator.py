@@ -1,15 +1,13 @@
-"""Scikit-learn style estimator wrapper around the geometric fit.
-
-Duck-typed to the sklearn estimator contract (``fit``/``predict``/``score``,
-``get_params``/``set_params``) without importing scikit-learn, so the class
-drops into sklearn pipelines and model-selection utilities while the package
-keeps numpy as its only third-party dependency.
+"""Scikit-learn style estimator wrapper around the geometric fit, which it runs on a
+``PointCloud`` of its validated float64 columns.  Duck-typed to the sklearn contract
+(``fit``/``predict``/``score``, ``get_params``/``set_params``) without importing sklearn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .cloud import PointCloud, quiet_overflow
 from .correlate import correlate
 from .diagnostics import sse as residual_sse
 from .regress import fit as geometric_fit
@@ -40,16 +38,6 @@ def _xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-class _Columns:
-    """Validated float64 columns, which ``geometric_fit`` centers and multiplies as arrays."""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs, self.ys = xs, ys
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-
 class GeometricLinearRegression:
     """Single-feature least-squares line, fitted by orthogonal projection.
 
@@ -58,9 +46,8 @@ class GeometricLinearRegression:
     """
 
     def fit(self, X, y):
-        cloud = _Columns(*_xy(X, y))
-        # An overflow reaches finite_fsum as inf, as on a list, without a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
+        cloud = PointCloud(*_xy(X, y))  # float64 columns, centered and multiplied as arrays
+        with quiet_overflow(cloud):
             result = geometric_fit(cloud)
             corr = correlate(result.centered)
             sse = residual_sse(result)

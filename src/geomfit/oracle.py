@@ -70,7 +70,7 @@ def default_box(a_seed: float, b_seed: float) -> SearchBox:
 
 def sse_of(cloud: PointCloud, a: float, b: float) -> float:
     """Sum of squared deviations from the line y = a*x + b, from raw data."""
-    return fsum((y - a * x - b) ** 2 for x, y in zip(cloud.xs, cloud.ys))
+    return fsum((y - a * x - b) ** 2 for x, y in zip(*cloud.as_lists()))
 
 
 def _parabola_vertex(f, x0: float, h: float) -> float:

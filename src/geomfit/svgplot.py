@@ -84,10 +84,10 @@ def plot_frame(cloud: PointCloud, fit_result: FitResult, width: float, height: f
 
     Raises ValueError unless ``size_ok`` holds for width and height.
     """
-    return _frame(cloud, fit_result, width, height)[0]
+    return _frame(*cloud.as_lists(), fit_result, width, height)[0]
 
 
-def _frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float
+def _frame(xs: list[float], ys: list[float], fit_result: FitResult, width: float, height: float
            ) -> tuple[PlotFrame, tuple[float, float, float, float], tuple[float, float]]:
     """The frame, the data's (min x, max x, min y, max y) and the line's heights at x_lo, x_hi.
 
@@ -95,7 +95,7 @@ def _frame(cloud: PointCloud, fit_result: FitResult, width: float, height: float
     """
     if not (size_ok(width) and size_ok(height)):
         raise ValueError(f"width and height must be between {MIN_SIZE_PX} and {MAX_SIZE_PX:g} px")
-    extrema = min(cloud.xs), max(cloud.xs), min(cloud.ys), max(cloud.ys)
+    extrema = min(xs), max(xs), min(ys), max(ys)
     x_min, x_max, y_min, y_max = extrema
     x_span = x_max - x_min
     x_pad = _PAD_FRACTION * x_span if x_span > 0 else 1.0
@@ -118,7 +118,8 @@ def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
     The frame is built on the call: a bad size (ValueError) or y range (ObjectiveOverflow)
     raises before any chunk.  The chunks are the head, each block of circles, and ``</svg>``.
     """
-    frame, (x_min, x_max, y_min, y_max), line_ys = _frame(cloud, fit_result, width, height)
+    xs, ys = cloud.as_lists()  # read point by point
+    frame, (x_min, x_max, y_min, y_max), line_ys = _frame(xs, ys, fit_result, width, height)
     ox, oy = _MARGIN_LEFT, float(height) - _MARGIN_BOTTOM
     tick_pxs, tick_pys = frame._px((x_min, x_max), (y_min, y_max))  # labels of the extrema
     # Fitted line clipped to the padded x-range.
@@ -138,7 +139,7 @@ def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, heigh
     def chunks() -> Iterator[str]:
         yield "\n".join(head) + "\n"
         for lo in range(0, len(cloud), _BLOCK_POINTS):  # points in file order
-            pxs, pys = frame._px(cloud.xs[lo:lo + _BLOCK_POINTS], cloud.ys[lo:lo + _BLOCK_POINTS])
+            pxs, pys = frame._px(xs[lo:lo + _BLOCK_POINTS], ys[lo:lo + _BLOCK_POINTS])
             flat = pxs + pys
             flat[0::2], flat[1::2] = pxs, pys  # cx0, cy0, cx1, cy1, ...
             yield ((_CIRCLE + "\n") * len(pxs)) % tuple(flat)

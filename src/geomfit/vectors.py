@@ -25,7 +25,7 @@ class Vector:
     components: tuple[float, ...]
 
     def __init__(self, components: Iterable[float]):
-        object.__setattr__(self, "components", tuple(finite_column(components)))
+        object.__setattr__(self, "components", tuple(map(float, finite_column(components))))
 
     def __len__(self) -> int:
         return len(self.components)

@@ -1,8 +1,21 @@
+import contextlib
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+
+# Hypothesis imports this module (and libcst, which raises a DeprecationWarning
+# on import) while it reports a failing example.  A test marked
+# filterwarnings("error") drops the ini's ignore entry for that warning, and
+# the warning, raised inside pytest's report hook, would end the whole session
+# with INTERNALERROR instead of failing the one test.  Imported here once, with
+# the warning ignored, the module is cached before any test runs.  Without
+# libcst, an optional dependency, hypothesis skips the import, and so does this.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from geomfit.cloud import PointCloud
 from geomfit.dataio import load_example

@@ -39,12 +39,56 @@ class TestPointCloud:
         assert c.xs == [1.0, 2.0] and c.ys == [3.5, 4.0]
         assert all(type(v) is float for v in c.xs + c.ys)
 
-    def test_float64_array_columns_are_their_tolist(self):
+    def test_float64_array_columns_stay_float64_arrays(self):
         np = pytest.importorskip("numpy")
-        xs = np.array([-0.0, 5e-324, 1e308, -2.5])
-        c = PointCloud(xs, xs[::-1])
-        assert c.xs == xs.tolist() and c.ys == xs[::-1].tolist()
-        assert all(type(v) is float for v in c.xs + c.ys)
+        values = [-0.0, 5e-324, 1e308, -2.5]
+        xs = np.array(values)
+        c = PointCloud(xs, xs[::-1])  # a strided view
+        assert type(c.xs) is type(c.ys) is np.ndarray
+        assert c.xs.dtype == c.ys.dtype == np.float64
+        assert c.xs.tobytes() == np.array(values).tobytes()
+        assert c.ys.tobytes() == np.array(values[::-1]).tobytes()
+        assert memoryview(c.ys).tolist() == values[::-1]  # contiguous, as finite_fsum reads it
+        xs[:] = 7.0  # the cloud keeps its own copy
+        assert c.xs.tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize("column", [(1, 2.5), [1.0, 2.5], array("d", [1.0, 2.5])],
+                             ids=["tuple", "list", "array.array"])
+    def test_other_columns_become_float_lists(self, column):
+        c = PointCloud(column, column)
+        assert type(c.xs) is list and c.xs == [1.0, 2.5]
+        assert all(type(v) is float for v in c.xs)
+
+    def test_masked_float64_array_is_read_as_a_list(self):
+        # A masked array's min, max and arithmetic skip its masked values.
+        np = pytest.importorskip("numpy")
+        c = PointCloud(np.ma.masked_array([1.0, 2.5]), np.array([1.0, 2.5]))
+        assert type(c.xs) is list and c.xs == [1.0, 2.5]
+        with pytest.raises(TypeError):  # a masked value reads as None
+            PointCloud(np.ma.masked_array([1.0, 2.5], mask=[False, True]), [1.0, 2.5])
+
+    @pytest.mark.parametrize("values, message", [
+        ([], "a vector needs at least one component"),
+        ([1.0, math.inf], "component 1 is not finite: inf"),
+        ([math.nan, 2.0], "component 0 is not finite: nan"),
+        ([1.7e308, 1.7e308, -math.inf], "component 2 is not finite: -inf"),
+    ])
+    def test_float64_arrays_validated_as_lists(self, values, message):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PointCloud(values, values)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PointCloud(np.array(values, dtype=np.float64), np.ones(len(values)))
+
+    def test_equal_when_the_values_are_whatever_the_kind(self):
+        np = pytest.importorskip("numpy")
+        xs, ys = [0.5, -0.0, 3.0], [1.0, 2.0, 4.0]
+        lists, arrays = PointCloud(xs, ys), PointCloud(np.array(xs), np.array(ys))
+        assert lists == arrays and arrays == lists
+        assert arrays == PointCloud(np.array(xs), np.array(ys))
+        assert arrays != PointCloud(np.array(xs), np.array([1.0, 2.0, 5.0]))
+        assert arrays != PointCloud(np.array(xs[:2]), np.array(ys[:2]))
+        assert arrays != (xs, ys)
 
     @pytest.mark.parametrize("xs, ys, message", [
         ([], [], "a vector needs at least one component"),

@@ -113,6 +113,16 @@ class TestRTextbook:
         with pytest.raises(ObjectiveOverflow, match="the product of the x and y variances"):
             r_textbook(PointCloud.from_columns(xs, ys))
 
+    @pytest.mark.filterwarnings("error")
+    def test_float64_array_cloud_reads_as_its_lists(self, ex1_cloud):
+        # numpy scalars would warn where a product overflows, not raise ObjectiveOverflow.
+        np = pytest.importorskip("numpy")
+        arrays = PointCloud(np.array(ex1_cloud.xs), np.array(ex1_cloud.ys))
+        assert r_textbook(arrays).hex() == r_textbook(ex1_cloud).hex()
+        xs, ys = [1.0, 2.0, 3.0, 4.0], [1e200, 2e200, 3.5e200, 3.9e200]
+        with pytest.raises(ObjectiveOverflow, match="the sum of squared y overflows float64"):
+            r_textbook(PointCloud(np.array(xs), np.array(ys)))
+
 
 class TestClassify:
     @pytest.mark.parametrize(

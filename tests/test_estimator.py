@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomfit.estimator as estimator
+from geomfit import cli
 from geomfit.cloud import PointCloud
 from geomfit.correlate import correlate
 from geomfit.diagnostics import sse
@@ -126,6 +127,10 @@ def _by_estimator(xs, ys):
             est.sse_, est.n_points_)
 
 
+def _report(xs, ys):
+    return cli.render_report(cli.build_report(PointCloud(xs, ys)), "json")
+
+
 def _seeded_columns():
     rng = random.Random(19)
     yield [3.0], [4.0]
@@ -184,6 +189,28 @@ class TestArrayPathMatchesLists:
                     for r in (_fitted_or_error(_by_lists, xs, ys) for xs, ys in _seeded_columns())}
         assert outcomes == {"fitted", "TooFewPoints", "DegenerateX", "DegenerateY",
                             "ObjectiveOverflow"}
+
+
+class TestReportOnArrayClouds:
+    """build_report on a cloud of float64 arrays is the list cloud's report, bit for bit.
+
+    Under warnings-as-errors, an overflow inside numpy would surface as a
+    RuntimeWarning instead of the list path's ObjectiveOverflow.
+    """
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeded_columns(self):
+        for xs, ys in _seeded_columns():
+            by_arrays = _fitted_or_error(_report, np.array(xs), np.array(ys))
+            assert by_arrays == _fitted_or_error(_report, xs, ys)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=40))
+    def test_any_finite_columns(self, pairs):
+        xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+        by_arrays = _fitted_or_error(_report, np.array(xs), np.array(ys))
+        assert by_arrays == _fitted_or_error(_report, xs, ys)
 
 
 class TestEstimatorContract:

@@ -140,6 +140,12 @@ class TestFit:
         assert f.slope == float(slope) == 1.0000000000546436e-149
         assert f.intercept == -999999.0000546436
 
+    @pytest.mark.filterwarnings("error")
+    def test_float64_arrays_whose_square_overflows_fit_unwarned(self):
+        np = pytest.importorskip("numpy")
+        f = fit(PointCloud(np.array([1e155, 1.000001e155]), np.array([1.0, 2.0])))
+        assert (f.slope, f.intercept) == (1.0000000000546436e-149, -999999.0000546436)
+
     def test_j_vec_is_scaled_i_vec(self, ex1_cloud):
         # The fitted centered responses j = u - residual are slope * i.
         f = fit(ex1_cloud)

@@ -17,6 +17,8 @@ from geomfit.errors import ObjectiveOverflow
 from geomfit.regress import fit, predict
 from geomfit.svgplot import plot_frame, render_svg, size_ok, svg_chunks
 
+from conftest import random_cloud
+
 _SRC = Path(geomfit.__file__).resolve().parent.parent
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -108,6 +110,14 @@ class TestRenderSvg:
         labels = [el.text for el in root.findall(f"{SVG_NS}text")]
         assert "11.3" in labels and "22.5" in labels  # x min/max
         assert "4" in labels and "122" in labels      # y min/max
+
+    @pytest.mark.parametrize("n", [12, 5000])  # one block of circles, or two
+    def test_float64_array_cloud_renders_as_its_lists(self, ex1_cloud, n):
+        np = pytest.importorskip("numpy")
+        lists = ex1_cloud if n == 12 else random_cloud(random.Random(21), n)
+        arrays = PointCloud(np.array(lists.xs), np.array(lists.ys))
+        assert render_svg(arrays, fit(arrays)) == render_svg(lists, fit(lists))
+        assert plot_frame(arrays, fit(arrays), 640, 480) == plot_frame(lists, fit(lists), 640, 480)
 
     def test_frame_round_trip(self, ex1_cloud):
         f = fit(ex1_cloud)

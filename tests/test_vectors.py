@@ -42,6 +42,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Vector([1.0, bad])
 
+    def test_float64_array_components_are_python_floats(self):
+        np = pytest.importorskip("numpy")
+        v = Vector(np.array([1.5, -0.0, 1e308]))
+        assert v.components == (1.5, -0.0, 1e308)
+        assert all(type(c) is float for c in v)
+
     def test_immutable(self):
         v = Vector([1.0, 2.0])
         with pytest.raises(AttributeError):
