@@ -7,19 +7,17 @@ The correlation coefficient falls out as the cosine of the angle between
 the two vectors.
 """
 
-from .cloud import CenteredCloud, PointCloud, center, centroid
-from .correlate import (
-    CorrelationClass, CorrelationResult, classify, correlate, r_cosine, r_textbook, theta,
-)
-from .diagnostics import DiagnosticsReport, orthogonality_report, residuals, sse
+from .cloud import PointCloud, center
+from .correlate import correlate, r_cosine, r_textbook, theta
+from .diagnostics import orthogonality_report, residuals
 from .errors import (
     BoxTooSmall, ColumnNotFound, DataError, DegenerateX, DegenerateY, DimensionMismatch,
     EmptyDataset, GeomfitError, ObjectiveOverflow, ParseError, RaggedRow, TooFewPoints,
 )
-from .oracle import SearchBox, default_box, gradient_check, grid_search_fit, sse_of
-from .regress import FitResult, fit, fit_slope_centered, predict
+from .oracle import SearchBox, grid_search_fit, sse_of
+from .regress import FitResult, fit
 from .svgplot import render_svg, svg_chunks
-from .vectors import Vector, dot, norm, norm_sq, ones, scale, sub
+from .vectors import dot, norm, norm_sq
 
 __version__ = "0.1.0"
 
@@ -35,14 +33,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Vector", "dot", "norm", "norm_sq", "ones", "scale", "sub",
-    "PointCloud", "CenteredCloud", "center", "centroid",
-    "FitResult", "fit", "fit_slope_centered", "predict",
-    "CorrelationClass", "CorrelationResult", "classify", "correlate",
-    "r_cosine", "r_textbook", "theta",
-    "DiagnosticsReport", "orthogonality_report", "residuals", "sse",
-    "SearchBox", "default_box", "gradient_check", "grid_search_fit", "sse_of",
-    "render_svg", "svg_chunks",
+    "PointCloud", "FitResult", "center", "fit", "correlate", "r_cosine", "r_textbook", "theta",
+    "orthogonality_report", "residuals", "dot", "norm", "norm_sq",
+    "SearchBox", "grid_search_fit", "sse_of", "render_svg", "svg_chunks",
     "GeomfitError", "DimensionMismatch", "TooFewPoints", "DegenerateX",
     "DegenerateY", "DataError", "ParseError", "EmptyDataset", "ColumnNotFound",
     "RaggedRow", "BoxTooSmall", "ObjectiveOverflow",

@@ -7,15 +7,12 @@ Subcommands:
 * ``verify``   -- cross-check the analytic fit against the brute-force search
 * ``examples`` -- write the two bundled demo datasets to disk
 
-Exit codes: 0 success, 2 usage error (also an empty path or one with a NUL
-byte, or a plot size under 100 px or over the largest float), 3 data error
-(parse failure, a degenerate cloud, sums that overflow float64 in the fit or
-the ``verify`` search, or a plot y range that overflows), a failed read or
-write (a closed pipe or a full disk; the output may be partial), or
-``verify`` or ``fit --verify`` without numpy, which the search needs (checked
-before the input is read, with one ``error:`` line), 4
-verification failure (the search disagrees with the analytic slope, or its
-minimum lies at the edge of the box centred on the analytic fit).
+Exit codes (the README lists every cause):
+
+* 0 -- success
+* 2 -- usage error: a bad option value, input or output path, delimiter or plot size
+* 3 -- data error (a bad or degenerate cloud, a float64 overflow), failed I/O, verify without numpy
+* 4 -- verification failure: the search disagrees with the analytic fit or ends on its box's edge
 """
 
 from __future__ import annotations

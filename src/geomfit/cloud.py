@@ -111,11 +111,6 @@ class PointCloud:
         return tuple(c.tolist() if hasattr(c, "dtype") else c for c in (self.xs, self.ys))
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "PointCloud":
-        pts = list(pairs)
-        return cls([p[0] for p in pts], [p[1] for p in pts])
-
-    @classmethod
     def from_columns(cls, xs: Sequence[float], ys: Sequence[float]) -> "PointCloud":
         return cls(xs, ys)
 

@@ -18,8 +18,8 @@ from .cloud import CenteredCloud, PointCloud, finite, finite_fsum
 from .errors import DegenerateX, DegenerateY
 
 __all__ = [
-    "CorrelationClass", "CorrelationResult", "theta", "r_cosine", "r_textbook", "classify",
-    "correlate", "TOTAL_THRESHOLD", "STRONG_THRESHOLD", "NULL_THRESHOLD",
+    "CorrelationClass", "CorrelationResult", "theta", "r_cosine", "r_textbook", "correlate",
+    "TOTAL_THRESHOLD", "STRONG_THRESHOLD", "NULL_THRESHOLD",
 ]
 
 # Band cutoffs on |r|.  The qualitative bands are only sketched in the source
@@ -103,13 +103,6 @@ def _band(r: float) -> CorrelationClass:
     if mag >= STRONG_THRESHOLD:
         return CorrelationClass.STRONG_POSITIVE if positive else CorrelationClass.STRONG_NEGATIVE
     return CorrelationClass.WEAK_POSITIVE if positive else CorrelationClass.WEAK_NEGATIVE
-
-
-def classify(theta_deg: float) -> CorrelationClass:
-    """Map a correlation angle to its qualitative band."""
-    if not 0.0 <= theta_deg <= 180.0:
-        raise ValueError(f"angle out of range [0, 180]: {theta_deg}")
-    return _band(math.cos(math.radians(theta_deg)))
 
 
 def correlate(c: CenteredCloud) -> CorrelationResult:

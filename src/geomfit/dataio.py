@@ -58,7 +58,8 @@ class DatasetSpec:
     ``x_col``/``y_col`` accept either a zero-based index or a header name.
     ``has_header`` of ``None`` means auto-detect.  Construction raises
     ValueError, naming the bad value, for a delimiter that is not one
-    character, a negative index, or the same column given twice.
+    character or that a number can contain (a digit, ``.+-eE_``), a negative
+    index, or the same column given twice.
     """
 
     delimiter: str = ","
@@ -69,6 +70,8 @@ class DatasetSpec:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if self.delimiter.isdigit() or self.delimiter in ".+-eE_":  # float() reads these
+            raise ValueError(f"delimiter must not be a digit or .+-eE_, got {self.delimiter!r}")
         for name, col in (("x_col", self.x_col), ("y_col", self.y_col)):
             if isinstance(col, int) and col < 0:
                 raise ValueError(f"{name} must be a column index >= 0 or a header name, got {col}")

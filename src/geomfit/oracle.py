@@ -1,4 +1,4 @@
-"""Independent brute-force and finite-difference verification of the fit.
+"""Independent brute-force verification of the fit.
 
 Deliberately avoids the projection/normal-equation route: the objective is
 evaluated directly from raw data and minimized by iterated grid refinement,
@@ -37,7 +37,7 @@ from math import fsum, inf
 from .cloud import PointCloud, finite
 from .errors import BoxTooSmall, ObjectiveOverflow
 
-__all__ = ["SearchBox", "sse_of", "grid_search_fit", "gradient_check", "default_box"]
+__all__ = ["SearchBox", "sse_of", "grid_search_fit", "default_box"]
 
 _GRID_STEPS = 21  # grid points per axis in each round
 _REFINEMENT_ROUNDS = 8
@@ -204,12 +204,3 @@ def grid_search_fit(cloud: PointCloud, box: SearchBox) -> tuple[float, float]:
         if not (box.b_min + margin_b <= best_b <= box.b_max - margin_b):
             raise BoxTooSmall(f"minimum at b={best_b} is outside or hugging the intercept bounds")
         return best_a, best_b
-
-
-def gradient_check(cloud: PointCloud, a: float, b: float, h: float = 1e-6) -> tuple[float, float]:
-    """Central finite-difference gradient of the objective at (a, b)."""
-    if not 0.0 < h < inf:  # NaN fails too
-        raise ValueError(f"step h must be a positive finite number, got {h!r}")
-    d_a = (sse_of(cloud, a + h, b) - sse_of(cloud, a - h, b)) / (2 * h)
-    d_b = (sse_of(cloud, a, b + h) - sse_of(cloud, a, b - h)) / (2 * h)
-    return d_a, d_b

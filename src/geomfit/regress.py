@@ -19,7 +19,7 @@ from typing import Sequence
 from .cloud import CenteredCloud, PointCloud, center, finite, finite_fsum, minus_scaled, products
 from .errors import DegenerateX, TooFewPoints
 
-__all__ = ["FitResult", "fit_slope_centered", "fit", "predict"]
+__all__ = ["FitResult", "fit", "predict"]
 
 _EPS = sys.float_info.epsilon
 
@@ -62,19 +62,14 @@ def _degenerate_x(c: CenteredCloud) -> bool:
     return c.sxx <= n_eps * max(1.0, max_x * max_x)
 
 
-def fit_slope_centered(c: CenteredCloud) -> float:
-    """Slope of the best-fit line through the origin of a centered cloud."""
-    if _degenerate_x(c):
-        raise DegenerateX("all x values coincide; slope is undefined")
-    return finite(c.sxy / c.sxx, "the slope")
-
-
 def fit(cloud: PointCloud) -> FitResult:
     """Center the cloud, project, and recover the intercept from the centroid."""
     if len(cloud) < 2:
         raise TooFewPoints(f"need at least 2 points, got {len(cloud)}")
     c = center(cloud)
-    a = fit_slope_centered(c)
+    if _degenerate_x(c):
+        raise DegenerateX("all x values coincide; slope is undefined")
+    a = finite(c.sxy / c.sxx, "the slope")
     b = finite(c.centroid_y - a * c.centroid_x, "the intercept")
     return FitResult(slope=a, intercept=b, centered=c)
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 from .cloud import finite_column
 from .errors import DimensionMismatch
 
-__all__ = ["Vector", "dot", "norm_sq", "norm", "sub", "scale", "ones"]
+__all__ = ["Vector", "dot", "norm_sq", "norm"]
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,10 @@ class Vector:
         return self.components[k]
 
 
-def _check_same_length(a: Vector, b: Vector) -> None:
-    if len(a) != len(b):
-        raise DimensionMismatch(len(a), len(b))
-
-
 def dot(a: Vector, b: Vector) -> float:
     """Sum of products of corresponding components, compensated."""
-    _check_same_length(a, b)
+    if len(a) != len(b):
+        raise DimensionMismatch(len(a), len(b))
     return math.fsum(x * y for x, y in zip(a, b))
 
 
@@ -56,20 +52,3 @@ def norm_sq(a: Vector) -> float:
 def norm(a: Vector) -> float:
     """Euclidean norm of ``a``."""
     return math.sqrt(norm_sq(a))
-
-
-def sub(a: Vector, b: Vector) -> Vector:
-    """Componentwise difference ``a - b``."""
-    _check_same_length(a, b)
-    return Vector(x - y for x, y in zip(a, b))
-
-
-def scale(c: float, a: Vector) -> Vector:
-    """Componentwise multiple ``c * a``; a nan or infinite ``c`` is rejected by Vector."""
-    c = float(c)
-    return Vector(c * x for x in a)
-
-
-def ones(n: int) -> Vector:
-    """All-ones vector of length ``n`` (n >= 1; Vector rejects an empty one)."""
-    return Vector((1.0,) * n)

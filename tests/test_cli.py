@@ -543,6 +543,9 @@ class TestUsageErrors:
             (["plot", "--height", "99"], ""),
             (["fit", "--delimiter", ""], ""),
             (["fit", "--delimiter", ";;"], "got ';;'"),
+            (["fit", "--delimiter", "."], "got '.'"),
+            (["verify", "--delimiter", "-"], "got '-'"),
+            (["plot", "--delimiter", "5"], "got '5'"),
             (["fit", "--x-col", "0", "--y-col", "0"], ""),
             (["fit", "--x-col", "-1"], "got -1"),
             (["verify", "--input", "data\x00.csv"], ""),
@@ -552,7 +555,8 @@ class TestUsageErrors:
             (["plot", "--output", ""], ""),
             (["examples", "--output", ""], ""),
         ],
-        ids=["width", "height", "empty-delimiter", "long-delimiter", "same-column",
+        ids=["width", "height", "empty-delimiter", "long-delimiter", "decimal-point-delimiter",
+             "sign-delimiter", "digit-delimiter", "same-column",
              "negative-column", "nul-in-path", "width-above-float-range", "empty-input",
              "empty-fit-output", "empty-plot-output", "empty-examples-output"],
     )

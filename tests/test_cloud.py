@@ -10,7 +10,7 @@ from geomfit.cloud import CenteredCloud, PointCloud, center, centroid
 from geomfit.correlate import correlate
 from geomfit.errors import ObjectiveOverflow
 from geomfit.regress import fit
-from geomfit.vectors import Vector, dot, norm_sq, ones
+from geomfit.vectors import Vector, dot, norm_sq
 
 from conftest import EX1, EX2
 
@@ -27,11 +27,6 @@ class TestPointCloud:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
             PointCloud(Vector([1, 2]), Vector([1, 2, 3]))
-
-    def test_from_pairs(self):
-        c = PointCloud.from_pairs([(1, 2), (3, 4)])
-        assert c.xs == [1.0, 3.0]
-        assert c.ys == [2.0, 4.0]
 
 
     def test_columns_are_plain_float_lists(self):
@@ -144,7 +139,7 @@ class TestCentroid:
         assert y_bar == pytest.approx(EX1["centroid"][1], abs=1e-4)
 
     def test_single_point(self):
-        assert centroid(PointCloud.from_pairs([(5, 7)])) == (5.0, 7.0)
+        assert centroid(PointCloud([5], [7])) == (5.0, 7.0)
 
     def test_example2(self, ex2_cloud):
         x_bar, y_bar = centroid(ex2_cloud)
@@ -196,8 +191,6 @@ class TestProperties:
         max_y = max(abs(y) for y in cloud.ys)
         assert abs(math.fsum(c.i_vec)) <= n * 1e-9 * max(1.0, max_x)
         assert abs(math.fsum(c.u_vec)) <= n * 1e-9 * max(1.0, max_y)
-        assert abs(dot(ones(n), c.i_vec)) <= n * 1e-9 * max(1.0, max_x)
-        assert abs(dot(ones(n), c.u_vec)) <= n * 1e-9 * max(1.0, max_y)
 
     @given(clouds)
     def test_centering_idempotent(self, cloud):

@@ -8,7 +8,7 @@ import pytest
 from geomfit.cloud import CenteredCloud, PointCloud, center
 from geomfit.correlate import (
     CorrelationClass,
-    classify,
+    _band,
     correlate,
     r_cosine,
     r_textbook,
@@ -124,6 +124,11 @@ class TestRTextbook:
             r_textbook(PointCloud(np.array(xs), np.array(ys)))
 
 
+def _classify(theta_deg: float) -> CorrelationClass:
+    """The band of the r whose angle is ``theta_deg``."""
+    return _band(math.cos(math.radians(theta_deg)))
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "angle,expected",
@@ -138,23 +143,18 @@ class TestClassify:
         ],
     )
     def test_bands(self, angle, expected):
-        assert classify(angle) is expected
-
-    @pytest.mark.parametrize("bad", [-0.001, 180.001, 361.0])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
-            classify(bad)
+        assert _classify(angle) is expected
 
     def test_null_band_matches_tolerance(self):
         # |r| right at the null cutoff
         just_null = math.degrees(math.acos(0.005))
         just_weak = math.degrees(math.acos(0.006))
-        assert classify(just_null) in (CorrelationClass.NULL, CorrelationClass.WEAK_POSITIVE)
-        assert classify(just_weak) is CorrelationClass.WEAK_POSITIVE
+        assert _classify(just_null) in (CorrelationClass.NULL, CorrelationClass.WEAK_POSITIVE)
+        assert _classify(just_weak) is CorrelationClass.WEAK_POSITIVE
 
     def test_total_band_cutoff(self):
-        assert classify(math.degrees(math.acos(0.9995))) is CorrelationClass.TOTAL_POSITIVE
-        assert classify(math.degrees(math.acos(0.998))) is CorrelationClass.STRONG_POSITIVE
+        assert _classify(math.degrees(math.acos(0.9995))) is CorrelationClass.TOTAL_POSITIVE
+        assert _classify(math.degrees(math.acos(0.998))) is CorrelationClass.STRONG_POSITIVE
 
 
 class TestCorrelate:

@@ -108,6 +108,11 @@ class TestParse:
         with pytest.raises(ValueError, match=re.escape(named)):
             DatasetSpec(**cols)
 
+    @pytest.mark.parametrize("delimiter", list("0719.+-eE_") + ["\u0664"])
+    def test_delimiter_a_number_can_contain_rejected(self, delimiter):
+        with pytest.raises(ValueError, match=re.escape(f"got {delimiter!r}")):
+            DatasetSpec(delimiter=delimiter)
+
     def test_custom_delimiter(self):
         cloud = parse(DatasetSpec(delimiter=";"), "1;2\n3;4\n")
         assert cloud.xs == [1.0, 3.0]

@@ -14,7 +14,7 @@ from conftest import random_cloud
 
 class TestResiduals:
     def test_two_point_cloud_zero_residuals(self):
-        f = fit(PointCloud.from_pairs([(0, 1), (2, 5)]))
+        f = fit(PointCloud([0, 2], [1, 5]))
         assert residuals(f) == [0.0, 0.0]
 
     def test_example1_pythagoras(self, ex1_cloud):
@@ -64,7 +64,7 @@ class TestOrthogonalityReport:
         assert abs(rep.ones_dot_u_normalized) <= 1e-6
 
     def test_two_point_cloud(self):
-        rep = orthogonality_report(fit(PointCloud.from_pairs([(0, 1), (2, 5)])))
+        rep = orthogonality_report(fit(PointCloud([0, 2], [1, 5])))
         assert rep.residual == [0.0, 0.0]
         assert abs(rep.residual_dot_i) <= 1e-12
         assert abs(rep.ones_dot_i) <= 1e-12

@@ -7,27 +7,27 @@ import pytest
 
 from geomfit.cloud import PointCloud, center
 from geomfit.errors import DegenerateX, TooFewPoints
-from geomfit.regress import _degenerate_x, fit, fit_slope_centered, predict
-from geomfit.vectors import dot, norm, sub
+from geomfit.regress import _degenerate_x, fit, predict
+from geomfit.vectors import dot, norm
 
 from conftest import EX1, EX2, exact_line, random_cloud
 
 
 class TestSlope:
     def test_example1(self, ex1_cloud):
-        assert fit_slope_centered(center(ex1_cloud)) == pytest.approx(EX1["a"], abs=1e-3)
+        assert fit(ex1_cloud).slope == pytest.approx(EX1["a"], abs=1e-3)
 
     def test_example2(self, ex2_cloud):
-        assert fit_slope_centered(center(ex2_cloud)) == pytest.approx(EX2["a"], abs=0.01)
+        assert fit(ex2_cloud).slope == pytest.approx(EX2["a"], abs=0.01)
 
     def test_exact_line(self):
         cloud = PointCloud.from_columns([0, 1, 2], [1, 3, 5])
-        assert fit_slope_centered(center(cloud)) == pytest.approx(2.0, abs=1e-12)
+        assert fit(cloud).slope == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_x(self):
         cloud = PointCloud.from_columns([4.0, 4.0, 4.0], [1, 2, 3])
         with pytest.raises(DegenerateX):
-            fit_slope_centered(center(cloud))
+            fit(cloud)
 
 
 def _generator_degenerate_x(c) -> bool:
@@ -119,14 +119,14 @@ class TestFit:
         assert f.intercept == pytest.approx(EX2["b"], abs=0.5)
 
     def test_two_point_line_is_exact(self):
-        f = fit(PointCloud.from_pairs([(0, 1), (2, 5)]))
+        f = fit(PointCloud([0, 2], [1, 5]))
         assert f.slope == 2.0
         assert f.intercept == 1.0
         assert all(abs(v) <= 1e-12 for v in f.residual)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            fit(PointCloud.from_pairs([(1, 2)]))
+            fit(PointCloud([1], [2]))
 
     def test_degenerate_x(self):
         with pytest.raises(DegenerateX):
@@ -173,7 +173,7 @@ class TestFitProperties:
         for _ in range(50):
             cloud = random_cloud(rng)
             f = fit(cloud)
-            res = sub(f.centered.u_vec, [f.slope * i for i in f.centered.i_vec])
+            res = [u - f.slope * i for u, i in zip(f.centered.u_vec, f.centered.i_vec)]
             assert list(res) == f.residual
             bound = 1e-9 * norm(f.centered.u_vec) * norm(f.centered.i_vec)
             assert abs(dot(res, f.centered.i_vec)) <= max(bound, 1e-12)
@@ -217,7 +217,7 @@ class TestFitProperties:
             assert g.intercept == pytest.approx(c * f.intercept, rel=1e-9, abs=1e-9)
 
     def test_duplicate_points_allowed(self):
-        f = fit(PointCloud.from_pairs([(0, 0), (0, 0), (1, 1)]))
+        f = fit(PointCloud([0, 0, 1], [0, 0, 1]))
         # duplicated origin pulls the line toward it
         assert f.slope == pytest.approx(1.0, abs=1e-12)
 

@@ -67,7 +67,7 @@ class TestRenderSvg:
         assert frame.x_hi == pytest.approx(x_max + pad)
 
     def test_two_point_cloud_circles_on_line(self):
-        cloud = PointCloud.from_pairs([(0, 1), (2, 5)])
+        cloud = PointCloud([0, 2], [1, 5])
         f = fit(cloud)
         svg = render_svg(cloud, f, 400, 300)
         root = parse_svg(svg)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from geomfit.cloud import center
 from geomfit.errors import DimensionMismatch
-from geomfit.vectors import Vector, dot, norm, norm_sq, ones, scale, sub
+from geomfit.vectors import Vector, dot, norm, norm_sq
 
 from conftest import EX1, EX2
 
@@ -92,51 +92,21 @@ class TestNorms:
 
 
 class TestSubScaleOnes:
-    def test_sub_identity(self):
-        assert sub(Vector([1, 1]), Vector([1, 1])).components == (0.0, 0.0)
-
-    def test_sub_componentwise(self):
-        assert sub(Vector([5, 3, 1]), Vector([4, 1, -1])).components == (1.0, 2.0, 2.0)
-
-    def test_sub_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            sub(Vector([1]), Vector([1, 2]))
+    """Identities of differences, multiples and the all-ones vector, built by comprehension."""
 
     def test_residual_orthogonal_to_predictor(self, ex1_cloud):
         c = center(ex1_cloud)
         a = dot(c.u_vec, c.i_vec) / norm_sq(c.i_vec)
-        res = sub(c.u_vec, scale(a, c.i_vec))
+        res = [u - a * i for u, i in zip(c.u_vec, c.i_vec)]
         assert abs(dot(res, c.i_vec)) <= 1e-9 * norm(c.u_vec) * norm(c.i_vec)
-
-    def test_scale_double(self):
-        assert scale(2, Vector([1, 2])).components == (2.0, 4.0)
-
-    def test_scale_zero(self):
-        assert scale(0, Vector([3, -7, 2])).components == (0.0, 0.0, 0.0)
-
-    def test_scale_rejects_nan(self):
-        with pytest.raises(ValueError):
-            scale(float("nan"), Vector([1.0]))
-
-    def test_scale_example2_slope(self, ex2_cloud):
-        c = center(ex2_cloud)
-        scaled = scale(227.809, c.i_vec)
-        assert scaled[0] == pytest.approx(-2619.80, abs=0.01)
-
-    def test_ones_three(self):
-        assert ones(3).components == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("n", [1, 5, 17])
     def test_ones_quadrance_is_n(self, n):
-        assert norm_sq(ones(n)) == float(n)
-
-    def test_ones_rejects_zero(self):
-        with pytest.raises(ValueError):
-            ones(0)
+        assert norm_sq([1.0] * n) == float(n)
 
     def test_ones_orthogonal_to_centered_example1(self, ex1_cloud):
         c = center(ex1_cloud)
-        assert abs(dot(ones(12), c.i_vec)) <= 1e-9
+        assert abs(dot([1.0] * 12, c.i_vec)) <= 1e-9
 
 
 class TestProperties:
@@ -148,7 +118,7 @@ class TestProperties:
     @given(vector_pairs(), scalar_floats)
     def test_bilinearity(self, pair, c):
         a, b = pair
-        lhs = dot(scale(c, a), b)
+        lhs = dot([c * x for x in a], b)
         rhs = c * dot(a, b)
         bound = 1e-12 * max(abs(rhs), abs(c) * norm(a) * norm(b))
         assert abs(lhs - rhs) <= bound
@@ -160,7 +130,7 @@ class TestProperties:
 
     @given(vectors, scalar_floats)
     def test_norm_of_scale(self, a, c):
-        assert norm(scale(c, a)) == pytest.approx(abs(c) * norm(a), rel=1e-12, abs=0.0)
+        assert norm([c * x for x in a]) == pytest.approx(abs(c) * norm(a), rel=1e-12, abs=0.0)
 
     @given(vectors)
     def test_norm_sq_nonnegative(self, a):
