@@ -1,13 +1,14 @@
 """Observed point clouds and the centroid translation.
 
-A cloud keeps a 1-d float64 numpy array as a float64 array (told apart by
-``dtype``), any other column as a list of floats, each checked once, when it
-is built.  Centering subtracts the column means, moving the center of mass to
-the origin; the centered columns i (from x) and u (from y) keep that kind.
-Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i are each computed
-once, by exactly rounded :func:`math.fsum`, and cached on the centered cloud.
-The column arithmetic here, the one place that tells the kinds apart, rounds
-each element once, in the same order, so both kinds give the same bits.
+A cloud's columns, checked once when it is built, are two float64 arrays
+(told apart by ``dtype``) when both are 1-d float64 numpy arrays, else two
+lists of floats.  Centering subtracts the column means, moving the center of
+mass to the origin; the centered columns i (from x) and u (from y) keep that
+kind.  Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i are each
+computed once, by exactly rounded :func:`math.fsum`, and cached on the
+centered cloud.  The column arithmetic here, the one place that tells the
+kinds apart, rounds each element once, in the same order, so both kinds give
+the same bits.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def _deviations(col: Sequence[float], origin: float) -> Sequence[float]:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Raw observed pairs (x_i, y_i): equal-length :func:`finite_column` columns, n >= 1;
-    two clouds are equal when their columns hold the same values, of either kind."""
+    """Raw observed pairs (x_i, y_i): equal-length :func:`finite_column` columns, n >= 1,
+    both float64 arrays or both lists; clouds holding the same values are equal."""
 
     xs: Sequence[float]
     ys: Sequence[float]
@@ -97,6 +98,8 @@ class PointCloud:
         xs, ys = finite_column(self.xs), finite_column(self.ys)
         if len(xs) != len(ys):
             raise ValueError(f"xs and ys must have equal length, got {len(xs)} and {len(ys)}")
+        if hasattr(xs, "dtype") != hasattr(ys, "dtype"):  # one kind per cloud: two lists
+            xs, ys = (c.tolist() if hasattr(c, "dtype") else c for c in (xs, ys))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -4,7 +4,9 @@ Dialect: UTF-8, LF or CRLF line endings, single-character delimiter
 (comma by default), '#'-prefixed comment lines ignored, no quoted fields.
 A text file's lines are those its own iterator yields: in Python's default
 newline mode, as the CLI opens its input, a lone CR ends a line too.
-Only '.' is accepted as the decimal separator; scientific notation is fine.
+A number is what ``float`` reads: '.' is the decimal separator, and scientific
+notation, PEP 515 underscores and any Unicode decimal digit are accepted, so
+``1_0`` reads as 10 and an Arabic-Indic four (U+0664) as 4 (ROADMAP item 7).
 The two demo datasets (monthly temperature vs rainfall, and a 24-day
 infection count series) ship as package data.
 
@@ -15,13 +17,11 @@ of the first data row.  Rows are converted a chunk of ``_CHUNK_ROWS`` lines
 at a time.  A chunk whose lines all hold the same number of delimiters (not
 a line break), no ``#`` and no CR outside a CRLF (a file read with
 ``newline=""`` keeps the CR that ends a line) is joined, split once, and
-each selected column converted by one ``map(float, ...)``.  Each column is
-tested finite by one C-level ``sum``, which a nan or an inf always makes
-non-finite.  A chunk that this refuses (a field ``float`` rejects, a column
-sum that is not finite, a short row, a blank or comment line) goes through
-the per-row loop, the one definition of a data row and the only place that
-raises, so the first error in file order is reported.  A chunk of finite
-values whose sum overflows takes the loop too, which accepts it.  The loop
+each selected column converted and tested finite by
+``cloud.finite_column``.  A chunk that this refuses (a field ``float``
+rejects, a nan or an inf, a short row, a blank or comment line) goes
+through the per-row loop, the one definition of a data row and the only
+place that raises, so the first error in file order is reported.  The loop
 converts each selected field's stripped text, so every field is accepted or
 rejected as its stripped text is.  ``float`` strips only whitespace that
 ``str.strip`` strips too, the line break the fast path leaves on a last
@@ -39,7 +39,7 @@ from importlib import resources
 from itertools import chain, islice
 from typing import Generator, Iterable, Iterator, TextIO
 
-from .cloud import PointCloud
+from .cloud import PointCloud, finite_column
 from .errors import ColumnNotFound, EmptyDataset, ParseError, RaggedRow
 
 __all__ = [
@@ -201,13 +201,9 @@ def _chunk_columns(chunk: list[str], delimiter: str, ix: int, iy: int,
             or "".join(fields[width - 1::width]).count("\n") != text.count("\n")):
         return None
     try:
-        xs = list(map(float, fields[ix::width]))
-        ys = list(map(float, fields[iy::width]))
+        return finite_column(fields[ix::width]), finite_column(fields[iy::width])
     except ValueError:
         return None
-    if math.isfinite(sum(xs)) and math.isfinite(sum(ys)):  # no nan or inf, nor an overflow
-        return xs, ys
-    return None
 
 
 def _row_columns(rows: Iterator[tuple[int, str]], delimiter: str, ix: int, iy: int,

@@ -54,6 +54,15 @@ class TestPointCloud:
         assert type(c.xs) is list and c.xs == [1.0, 2.5]
         assert all(type(v) is float for v in c.xs)
 
+    @pytest.mark.parametrize("array_column", ["x", "y"])
+    def test_a_list_with_a_float64_array_makes_two_lists(self, array_column):
+        np = pytest.importorskip("numpy")
+        xs, ys = [0.5, -0.0, 3.0], [1.0, 2.0, 4.0]
+        c = PointCloud(np.array(xs), ys) if array_column == "x" else PointCloud(xs, np.array(ys))
+        assert type(c.xs) is type(c.ys) is list
+        assert all(type(v) is float for v in c.xs + c.ys)
+        assert c == PointCloud(xs, ys)
+
     def test_masked_float64_array_is_read_as_a_list(self):
         # A masked array's min, max and arithmetic skip its masked values.
         np = pytest.importorskip("numpy")

@@ -417,8 +417,8 @@ def test_multi_chunk_documents(monkeypatch, case, chunk_rows):
 
 
 def test_clean_chunks_skip_the_row_loop(monkeypatch):
-    # Equal-width numeric rows, also with CRLF endings, convert without the
-    # per-row loop.
+    # Equal-width numeric rows, also with CRLF endings, or finite values whose
+    # column sum overflows, convert without the per-row loop.
     def row_loop(*args):
         raise AssertionError("per-row loop used")
     monkeypatch.setattr(dataio, "_CHUNK_ROWS", 3)
@@ -427,6 +427,9 @@ def test_clean_chunks_skip_the_row_loop(monkeypatch):
         content = "id,x,y" + "".join(f"{ending}{i},{i / 8!r},{-i}" for i in range(10)) + ending
         cloud = parse(DatasetSpec(x_col="x", y_col="y"), content)
         assert cloud.xs == [i / 8 for i in range(10)] and cloud.ys == [-i for i in range(10)]
+    spec, content, expected = _MULTI_CHUNK["overflowing-sum"]
+    cloud = parse(spec, content)
+    assert list(zip(cloud.xs, cloud.ys)) == expected
 
 
 def test_blank_tail_takes_the_row_loop(monkeypatch):

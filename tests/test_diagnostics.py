@@ -70,6 +70,14 @@ class TestOrthogonalityReport:
         assert abs(rep.ones_dot_i) <= 1e-12
         assert abs(rep.ones_dot_u) <= 1e-12
 
+    def test_readme_example_with_a_numpy_y(self):
+        # A list x beside a float64 array y makes a cloud of two lists.
+        np = pytest.importorskip("numpy")
+        xs, ys = [11, 12, 14, 16], [180, 175, 150, 130]
+        f, by_lists = fit(PointCloud(xs, np.array(ys, dtype=float))), fit(PointCloud(xs, ys))
+        assert residuals(f) == residuals(by_lists)
+        assert orthogonality_report(f) == orthogonality_report(by_lists)
+
     def test_sse_field_consistent(self, ex1_cloud):
         f = fit(ex1_cloud)
         rep = orthogonality_report(f)

@@ -191,8 +191,14 @@ class TestArrayPathMatchesLists:
                             "ObjectiveOverflow"}
 
 
+def _with_arrays(xs, ys):
+    """The columns as two float64 arrays, list x with array y, and array x with list y."""
+    return [(np.array(xs), np.array(ys)), (xs, np.array(ys)), (np.array(xs), ys)]
+
+
 class TestReportOnArrayClouds:
-    """build_report on a cloud of float64 arrays is the list cloud's report, bit for bit.
+    """build_report on a cloud given float64 arrays, for one column or both, is the
+    list cloud's report, bit for bit.
 
     Under warnings-as-errors, an overflow inside numpy would surface as a
     RuntimeWarning instead of the list path's ObjectiveOverflow.
@@ -201,16 +207,18 @@ class TestReportOnArrayClouds:
     @pytest.mark.filterwarnings("error")
     def test_seeded_columns(self):
         for xs, ys in _seeded_columns():
-            by_arrays = _fitted_or_error(_report, np.array(xs), np.array(ys))
-            assert by_arrays == _fitted_or_error(_report, xs, ys)
+            by_lists = _fitted_or_error(_report, xs, ys)
+            for x_col, y_col in _with_arrays(xs, ys):
+                assert _fitted_or_error(_report, x_col, y_col) == by_lists
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=40))
     def test_any_finite_columns(self, pairs):
         xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
-        by_arrays = _fitted_or_error(_report, np.array(xs), np.array(ys))
-        assert by_arrays == _fitted_or_error(_report, xs, ys)
+        by_lists = _fitted_or_error(_report, xs, ys)
+        for x_col, y_col in _with_arrays(xs, ys):
+            assert _fitted_or_error(_report, x_col, y_col) == by_lists
 
 
 class TestEstimatorContract:
