@@ -27,7 +27,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import dataio
-from .cloud import PointCloud, quiet_overflow
+from .cloud import PointCloud
 from .correlate import correlate
 from .diagnostics import orthogonality_report
 from .errors import BoxTooSmall, GeomfitError
@@ -55,10 +55,9 @@ def _equation(a: float, b: float) -> str:
 
 def build_report(cloud: PointCloud) -> dict:
     """The fit report as one mapping whose key order is the JSON contract."""
-    with quiet_overflow(cloud):
-        f = fit(cloud)
-        corr = correlate(f.centered)
-        diag = orthogonality_report(f)
+    f = fit(cloud)
+    corr = correlate(f.centered)
+    diag = orthogonality_report(f)
     return {
         "n": len(cloud),
         "centroid_x": f.centered.centroid_x,

@@ -1,20 +1,20 @@
 """Observed point clouds and the centroid translation.
 
 A cloud's columns, checked once when it is built, are two float64 arrays
-(told apart by ``dtype``) when both are 1-d float64 numpy arrays, else two
-lists of floats.  Centering subtracts the column means, moving the center of
-mass to the origin; the centered columns i (from x) and u (from y) keep that
-kind.  Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i are each
-computed once, by exactly rounded :func:`math.fsum`, and cached on the
-centered cloud.  The column arithmetic here, the one place that tells the
-kinds apart, rounds each element once, in the same order, so both kinds give
-the same bits.
+(told apart by ``dtype``) when both are 1-d float64 numpy arrays within
++-2**400, where no elementwise product can overflow, else two lists of
+floats.  Centering subtracts the column means, moving the center of mass to
+the origin; the centered columns i (from x) and u (from y) keep that kind.
+Their sums of products Sxx = i.i, Syy = u.u and Sxy = u.i are each computed
+once, by exactly rounded :func:`math.fsum`, and cached on the centered
+cloud.  The column arithmetic here, the one place that tells the kinds
+apart, rounds each element once, in the same order, so both kinds give the
+same bits.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -23,7 +23,12 @@ from typing import Iterable, Sequence
 from .errors import ObjectiveOverflow
 
 __all__ = ["PointCloud", "CenteredCloud", "centroid", "center", "finite", "finite_column",
-           "finite_fsum", "quiet_overflow"]
+           "finite_fsum"]
+
+# Deviations stay within 2 * 2**400 and, as |slope| <= sqrt(Syy / Sxx), residuals within
+# 2 * (1 + sqrt(n)) * 2**400: their products stay far below 2**1024, so numpy never warns
+# and only an fsum can overflow, raising ObjectiveOverflow as on lists.
+_ARRAY_LIMIT = 2.0**400
 
 
 def finite(value: float, what: str) -> float:
@@ -44,12 +49,14 @@ def finite_fsum(terms: Iterable[float], what: str) -> float:
 
 
 def finite_column(values: Iterable[float]) -> Sequence[float]:
-    """``values``, a 1-d float64 array as a copy (contiguous, and apart from later writes),
-    else as a list of floats; ValueError for a string, no values, a nan or an inf."""
+    """``values``, a 1-d float64 array within +-2**400 as a contiguous private copy, else
+    as a list of floats; ValueError for a string, a non-1-d shape, no values, nan or inf."""
+    if getattr(values, "ndim", 1) != 1:
+        raise ValueError(f"a column must be 1-d, not of shape {values.shape}")
     # numpy's own arrays only (a masked array computes differently); min and max,
-    # unlike a sum, cannot overflow or warn, and a nan or an inf shows in one of them.
-    if type(values).__module__ == "numpy" and values.dtype == "float64" and values.ndim == 1:
-        if len(values) and math.isfinite(values.min()) and math.isfinite(values.max()):
+    # unlike a sum, cannot overflow or warn, and a nan fails both comparisons.
+    if type(values).__module__ == "numpy" and values.dtype == "float64":
+        if len(values) and -_ARRAY_LIMIT <= values.min() and values.max() <= _ARRAY_LIMIT:
             return values.copy()
     if isinstance(values, (str, bytes)):  # else read one character at a time
         raise ValueError(f"a column must be a sequence of numbers, not {type(values).__name__}")
@@ -62,14 +69,6 @@ def finite_column(values: Iterable[float]) -> Sequence[float]:
             if not math.isfinite(c):
                 raise ValueError(f"component {k} is not finite: {c!r}")
     return col
-
-
-def quiet_overflow(cloud: PointCloud) -> AbstractContextManager:
-    """Context in which arithmetic on the cloud's float64 arrays overflows unwarned, as lists do."""
-    if not hasattr(cloud.xs, "dtype"):
-        return nullcontext()
-    import numpy  # loaded already: the columns are its arrays
-    return numpy.errstate(over="ignore", invalid="ignore")
 
 
 def products(a: Sequence[float], b: Sequence[float]) -> Iterable[float]:
@@ -89,7 +88,7 @@ def _deviations(col: Sequence[float], origin: float) -> Sequence[float]:
 @dataclass(frozen=True)
 class PointCloud:
     """Raw observed pairs (x_i, y_i): equal-length :func:`finite_column` columns, n >= 1,
-    both float64 arrays or both lists; clouds holding the same values are equal."""
+    both float64 arrays (within +-2**400) or both lists; clouds of equal values are equal."""
 
     xs: Sequence[float]
     ys: Sequence[float]

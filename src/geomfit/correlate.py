@@ -73,7 +73,7 @@ def r_textbook(cloud: PointCloud) -> float:
     n = len(cloud)
     if n < 2:
         raise DegenerateX("need at least 2 points")
-    xs, ys = cloud.as_lists()  # Python floats, whose products overflow unwarned
+    xs, ys = cloud.as_lists()  # read point by point, as Python floats
     sx = finite_fsum(xs, "the sum of x")
     sy = finite_fsum(ys, "the sum of y")
     sxy = finite_fsum((x * y for x, y in zip(xs, ys)), "the sum of x-y products")

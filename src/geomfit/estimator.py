@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cloud import PointCloud, quiet_overflow
+from .cloud import PointCloud
 from .correlate import correlate
 from .diagnostics import sse as residual_sse
 from .regress import fit as geometric_fit
@@ -46,11 +46,10 @@ class GeometricLinearRegression:
     """
 
     def fit(self, X, y):
-        cloud = PointCloud(*_xy(X, y))  # float64 columns, centered and multiplied as arrays
-        with quiet_overflow(cloud):
-            result = geometric_fit(cloud)
-            corr = correlate(result.centered)
-            sse = residual_sse(result)
+        cloud = PointCloud(*_xy(X, y))  # float64 columns, fitted as arrays within +-2**400
+        result = geometric_fit(cloud)
+        corr = correlate(result.centered)
+        sse = residual_sse(result)
         self.slope_ = result.slope
         self.intercept_ = result.intercept
         self.theta_deg_ = corr.theta_deg

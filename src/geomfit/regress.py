@@ -50,9 +50,9 @@ def _degenerate_x(c: CenteredCloud) -> bool:
     # largest |x_bar + i| sits at the smallest or the largest i.  No |i| tops
     # sqrt(Sxx), so a spread above the cutoff of |x_bar| + sqrt(Sxx), widened
     # past its roundings, is above the exact cutoff too and skips that scan.
-    # Where max_x**2 overflows (max_x, a Python float that warns of nothing, above
-    # about 1.34e154), the cutoff would be inf and refuse every cloud, so Sxx / max_x
-    # is compared with n*eps*max_x, which stays finite and within two roundings.
+    # Where max_x**2 overflows (max_x above about 1.34e154, so a cloud of lists), the
+    # cutoff would be inf and refuse every cloud, so Sxx / max_x is compared with
+    # n*eps*max_x, which stays finite and within two roundings.
     n_eps, bound = len(c) * _EPS, (abs(c.centroid_x) + math.sqrt(c.sxx)) * (1.0 + 2.0**-40)
     if c.sxx > n_eps * max(1.0, bound * bound):
         return False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomfit.cloud import CenteredCloud, PointCloud, center, centroid
+from geomfit.cloud import _ARRAY_LIMIT, CenteredCloud, PointCloud, center, centroid
 from geomfit.correlate import correlate
 from geomfit.errors import ObjectiveOverflow
 from geomfit.regress import fit
@@ -36,7 +36,7 @@ class TestPointCloud:
 
     def test_float64_array_columns_stay_float64_arrays(self):
         np = pytest.importorskip("numpy")
-        values = [-0.0, 5e-324, 1e308, -2.5]
+        values = [-0.0, 5e-324, _ARRAY_LIMIT, -_ARRAY_LIMIT, -2.5]
         xs = np.array(values)
         c = PointCloud(xs, xs[::-1])  # a strided view
         assert type(c.xs) is type(c.ys) is np.ndarray
@@ -46,6 +46,30 @@ class TestPointCloud:
         assert memoryview(c.ys).tolist() == values[::-1]  # contiguous, as finite_fsum reads it
         xs[:] = 7.0  # the cloud keeps its own copy
         assert c.xs.tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize("beyond", [1e308, math.nextafter(_ARRAY_LIMIT, math.inf),
+                                        -math.nextafter(_ARRAY_LIMIT, math.inf)])
+    def test_float64_array_beyond_the_limit_makes_two_lists(self, beyond):
+        # where an elementwise product could overflow, the cloud computes on Python floats
+        np = pytest.importorskip("numpy")
+        xs, ys = [0.5, beyond, -0.0], [1.0, 5e-324, 2.0]
+        c = PointCloud(np.array(xs), np.array(ys))
+        assert type(c.xs) is type(c.ys) is list
+        assert all(type(v) is float for v in c.xs + c.ys)
+        assert np.array(c.xs).tobytes() == np.array(xs).tobytes()
+        assert np.array(c.ys).tobytes() == np.array(ys).tobytes()
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda np: np.ones((3, 1)), "(3, 1)"),
+        (lambda np: np.float64(3.0), "()"),
+    ], ids=["2-d", "0-d"])
+    def test_column_of_another_shape_rejected(self, make, shape):
+        np = pytest.importorskip("numpy")
+        message = f"a column must be 1-d, not of shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PointCloud(make(np), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vector(make(np))
 
     @pytest.mark.parametrize("column", [(1, 2.5), [1.0, 2.5], array("d", [1.0, 2.5])],
                              ids=["tuple", "list", "array.array"])

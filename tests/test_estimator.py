@@ -2,14 +2,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geomfit.estimator as estimator
 from geomfit import cli
-from geomfit.cloud import PointCloud
+from geomfit.cloud import _ARRAY_LIMIT, PointCloud
 from geomfit.correlate import correlate
-from geomfit.diagnostics import sse
+from geomfit.diagnostics import orthogonality_report, sse
 from geomfit.errors import DegenerateX, GeomfitError, TooFewPoints
 from geomfit.estimator import GeometricLinearRegression
 from geomfit.regress import fit
@@ -131,6 +131,14 @@ def _report(xs, ys):
     return cli.render_report(cli.build_report(PointCloud(xs, ys)), "json")
 
 
+def _bare(xs, ys):
+    """The report's three library calls, made with no caller around them."""
+    f = fit(PointCloud(xs, ys))
+    corr, diag = correlate(f.centered), orthogonality_report(f)
+    return (f.slope, f.intercept, corr.theta_deg, corr.r, corr.cls.value, diag.sse,
+            diag.residual_dot_i, diag.ones_dot_i, diag.ones_dot_u)
+
+
 def _seeded_columns():
     rng = random.Random(19)
     yield [3.0], [4.0]
@@ -207,9 +215,10 @@ class TestReportOnArrayClouds:
     @pytest.mark.filterwarnings("error")
     def test_seeded_columns(self):
         for xs, ys in _seeded_columns():
-            by_lists = _fitted_or_error(_report, xs, ys)
-            for x_col, y_col in _with_arrays(xs, ys):
-                assert _fitted_or_error(_report, x_col, y_col) == by_lists
+            for calls in (_report, _bare):
+                by_lists = _fitted_or_error(calls, xs, ys)
+                for x_col, y_col in _with_arrays(xs, ys):
+                    assert _fitted_or_error(calls, x_col, y_col) == by_lists
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
@@ -219,6 +228,30 @@ class TestReportOnArrayClouds:
         by_lists = _fitted_or_error(_report, xs, ys)
         for x_col, y_col in _with_arrays(xs, ys):
             assert _fitted_or_error(_report, x_col, y_col) == by_lists
+
+
+limited_floats = st.floats(min_value=-_ARRAY_LIMIT, max_value=_ARRAY_LIMIT)
+
+
+class TestArraysWithinTheLimit:
+    """Float64 columns within +-_ARRAY_LIMIT stay arrays, and no numpy operation on
+    them overflows, divides by zero or makes a nan: the report and the estimator,
+    with each of those raising, give the list results."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(limited_floats, limited_floats), min_size=1, max_size=40))
+    @example([(_ARRAY_LIMIT, -_ARRAY_LIMIT), (-_ARRAY_LIMIT, _ARRAY_LIMIT)])
+    @example([(-_ARRAY_LIMIT, _ARRAY_LIMIT), (_ARRAY_LIMIT, _ARRAY_LIMIT), (0.0, -_ARRAY_LIMIT)])
+    @example([(_ARRAY_LIMIT, 5e-324), (-_ARRAY_LIMIT, -5e-324), (-0.0, _ARRAY_LIMIT)])
+    @example([(5e-324, -_ARRAY_LIMIT), (-5e-324, _ARRAY_LIMIT), (0.0, -0.0)])
+    def test_any_columns_within_the_limit(self, pairs):
+        xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+        assert hasattr(PointCloud(np.array(xs), np.array(ys)).xs, "dtype")
+        by_lists = _fitted_or_error(_report, xs, ys), _fitted_or_error(_by_lists, xs, ys)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            by_arrays = (_fitted_or_error(_report, np.array(xs), np.array(ys)),
+                         _fitted_or_error(_by_estimator, xs, ys))
+        assert by_arrays == by_lists
 
 
 class TestEstimatorContract:
