@@ -20,11 +20,9 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
-import json
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
-from pathlib import Path
 
 from . import dataio
 from .cloud import PointCloud
@@ -43,8 +41,6 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 VERIFY_SLOPE_TOLERANCE = 1e-5
-# json.dumps(indent=2) of a flat non-empty mapping, by the C encoder that indent turns off.
-_JSON_ITEMS = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
 def _equation(a: float, b: float) -> str:
@@ -91,6 +87,13 @@ ones_dot_u (normalized):     {ones_dot_u_normalized:.3e}
 """
 
 
+@functools.cache  # built by the first JSON report, so that a text report never loads json
+def _json_items_encoder():
+    """json.dumps(indent=2) of a flat non-empty mapping, by the C encoder that indent turns off."""
+    import json
+    return json.JSONEncoder(separators=(",\n  ", ": "))
+
+
 def render_report(report: dict, fmt: str = "text") -> str:
     """Serialize a report deterministically.
 
@@ -99,7 +102,8 @@ def render_report(report: dict, fmt: str = "text") -> str:
     """
     if fmt == "json":
         if report and not any(isinstance(v, (dict, list, tuple)) for v in report.values()):
-            return "{\n  " + _JSON_ITEMS.encode(report)[1:-1] + "\n}\n"
+            return "{\n  " + _json_items_encoder().encode(report)[1:-1] + "\n}\n"
+        import json
         return json.dumps(report, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
@@ -199,6 +203,7 @@ def run(argv: list[str]) -> int:
 
     try:
         if args.command == "examples":
+            from pathlib import Path  # here, so that the other commands never load it
             out_dir = Path(args.output)
             out_dir.mkdir(parents=True, exist_ok=True)
             for name in dataio.EXAMPLE_DATASETS:

@@ -15,10 +15,9 @@ same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import ObjectiveOverflow
 
@@ -71,6 +70,31 @@ def finite_column(values: Iterable[float]) -> Sequence[float]:
     return col
 
 
+class Frozen:
+    """Base of geomfit's plain classes: ``__init__`` sets the ``_fields`` once, by ``_set``;
+    setting or deleting one later raises AttributeError; the repr is ``Name(field=value, ...)``."""
+
+    # The fields live in __dict__, not __slots__: pickle and copy restore slots by __setattr__.
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def extrema(col: Sequence[float]) -> tuple[float, float]:
+    """The column's (min, max): a float64 array's by numpy, other columns' by Python."""
+    return (float(col.min()), float(col.max())) if hasattr(col, "dtype") else (min(col), max(col))
+
+
 def products(a: Sequence[float], b: Sequence[float]) -> Iterable[float]:
     """Elementwise a*b: float64 arrays all at once, other columns pair by pair."""
     return a * b if hasattr(a, "dtype") else map(mul, a, b)
@@ -85,22 +109,19 @@ def _deviations(col: Sequence[float], origin: float) -> Sequence[float]:
     return col - origin if hasattr(col, "dtype") else [v - origin for v in col]
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class PointCloud(Frozen):
     """Raw observed pairs (x_i, y_i): equal-length :func:`finite_column` columns, n >= 1,
     both float64 arrays (within +-2**400) or both lists; clouds of equal values are equal."""
 
-    xs: Sequence[float]
-    ys: Sequence[float]
+    _fields = ("xs", "ys")
 
-    def __post_init__(self):
-        xs, ys = finite_column(self.xs), finite_column(self.ys)
+    def __init__(self, xs: Iterable[float], ys: Iterable[float]):
+        xs, ys = finite_column(xs), finite_column(ys)
         if len(xs) != len(ys):
             raise ValueError(f"xs and ys must have equal length, got {len(xs)} and {len(ys)}")
         if hasattr(xs, "dtype") != hasattr(ys, "dtype"):  # one kind per cloud: two lists
             xs, ys = (c.tolist() if hasattr(c, "dtype") else c for c in (xs, ys))
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self._set(xs, ys)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -117,9 +138,8 @@ class PointCloud:
         return cls(xs, ys)
 
 
-@dataclass(frozen=True)
-class CenteredCloud:
-    """Centroid plus the centered predictor/response columns.
+class CenteredCloud(Frozen):
+    """Centroid (``centroid_x``, ``centroid_y``) plus the centered predictor/response columns.
 
     ``i_vec`` holds the centered x column, ``u_vec`` the centered y column; both sum
     to zero up to roundoff, and are float64 arrays for a cloud of arrays, else lists.
@@ -127,14 +147,13 @@ class CenteredCloud:
     one that overflows float64 raises :class:`ObjectiveOverflow`.
     """
 
-    centroid_x: float
-    centroid_y: float
-    i_vec: Sequence[float]
-    u_vec: Sequence[float]
+    _fields = ("centroid_x", "centroid_y", "i_vec", "u_vec")
 
-    def __post_init__(self):
-        if len(self.i_vec) != len(self.u_vec):
+    def __init__(self, centroid_x: float, centroid_y: float, i_vec: Sequence[float],
+                 u_vec: Sequence[float]):
+        if len(i_vec) != len(u_vec):
             raise ValueError("centered columns must have equal length")
+        self._set(centroid_x, centroid_y, i_vec, u_vec)
 
     def __len__(self) -> int:
         return len(self.i_vec)

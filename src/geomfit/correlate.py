@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cloud import CenteredCloud, PointCloud, finite, finite_fsum
 from .errors import DegenerateX, DegenerateY
@@ -39,11 +39,7 @@ class CorrelationClass(enum.Enum):
     TOTAL_NEGATIVE = "TotalNegative"
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    theta_deg: float
-    r: float
-    cls: CorrelationClass
+CorrelationResult = namedtuple("CorrelationResult", "theta_deg r cls")
 
 
 def r_cosine(c: CenteredCloud) -> float:

@@ -34,12 +34,10 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
-from importlib import resources
+from collections.abc import Generator, Iterable, Iterator
 from itertools import chain, islice
-from typing import Generator, Iterable, Iterator, TextIO
 
-from .cloud import PointCloud, finite_column
+from .cloud import Frozen, PointCloud, finite_column
 from .errors import ColumnNotFound, EmptyDataset, ParseError, RaggedRow
 
 __all__ = [
@@ -51,8 +49,7 @@ EXAMPLE_DATASETS = ("example1_amarante.csv", "example2_infections.csv")
 _CHUNK_ROWS = 4096  # lines per step of the row conversion
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(Frozen):
     """How to read one delimited file into (x, y) columns.
 
     ``x_col``/``y_col`` accept either a zero-based index or a header name.
@@ -62,21 +59,20 @@ class DatasetSpec:
     index, or the same column given twice.
     """
 
-    delimiter: str = ","
-    has_header: bool | None = None
-    x_col: int | str = 0
-    y_col: int | str = 1
+    _fields = ("delimiter", "has_header", "x_col", "y_col")
 
-    def __post_init__(self):
-        if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if self.delimiter.isdigit() or self.delimiter in ".+-eE_":  # float() reads these
-            raise ValueError(f"delimiter must not be a digit or .+-eE_, got {self.delimiter!r}")
-        for name, col in (("x_col", self.x_col), ("y_col", self.y_col)):
+    def __init__(self, delimiter: str = ",", has_header: bool | None = None,
+                 x_col: int | str = 0, y_col: int | str = 1):
+        if len(delimiter) != 1:
+            raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+        if delimiter.isdigit() or delimiter in ".+-eE_":  # float() reads these
+            raise ValueError(f"delimiter must not be a digit or .+-eE_, got {delimiter!r}")
+        for name, col in (("x_col", x_col), ("y_col", y_col)):
             if isinstance(col, int) and col < 0:
                 raise ValueError(f"{name} must be a column index >= 0 or a header name, got {col}")
-        if self.x_col == self.y_col:
-            raise ValueError(f"x_col and y_col must differ, both are {self.x_col!r}")
+        if x_col == y_col:
+            raise ValueError(f"x_col and y_col must differ, both are {x_col!r}")
+        self._set(delimiter, has_header, x_col, y_col)
 
 
 def _try_float(field: str) -> float | None:
@@ -87,7 +83,7 @@ def _try_float(field: str) -> float | None:
     return v if math.isfinite(v) else None  # clouds require finite data, so no nan or inf
 
 
-def _lines(source: str | TextIO) -> Iterator[str]:
+def _lines(source: str | io.TextIOBase) -> Iterator[str]:
     """The source's lines, each with its line break; a string's split only at "\\n"."""
     return io.StringIO(source) if isinstance(source, str) else source
 
@@ -115,7 +111,7 @@ def _is_header(line: str, delimiter: str) -> bool:
     return any(_try_float(f.strip()) is None for f in _fields(line, delimiter))
 
 
-def auto_detect_header(source: str | TextIO, delimiter: str = ",") -> bool:
+def auto_detect_header(source: str | io.TextIOBase, delimiter: str = ",") -> bool:
     """True iff the first data row contains any field that fails numeric parsing.
 
     Reads the source only to the end of that row.
@@ -138,7 +134,7 @@ def _resolve_column(col: int | str, header: list[str] | None, lineno: int) -> in
         ) from None
 
 
-def parse(spec: DatasetSpec, source: str | TextIO) -> PointCloud:
+def parse(spec: DatasetSpec, source: str | io.TextIOBase) -> PointCloud:
     """Parse delimited text, a string or an open text file, into a point cloud.
 
     Each data row gives one point.
@@ -232,6 +228,7 @@ def example_csv_text(name: str) -> str:
     """Raw CSV text of a bundled demo dataset."""
     if name not in EXAMPLE_DATASETS:
         raise ValueError(f"unknown example dataset {name!r}; choose from {EXAMPLE_DATASETS}")
+    from importlib import resources  # here, so that fit and plot never load it
     return resources.files("geomfit.data").joinpath(name).read_text(encoding="utf-8")
 
 

@@ -12,8 +12,8 @@ cloud's cached sums, so the checks are scale-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .cloud import finite_fsum, products
 from .regress import FitResult
@@ -21,20 +21,13 @@ from .regress import FitResult
 __all__ = ["DiagnosticsReport", "residuals", "sse", "orthogonality_report"]
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    residual: Sequence[float]
-    sse: float
-    residual_dot_i: float
-    ones_dot_i: float
-    ones_dot_u: float
-    # Same dot products made scale-free (0.0 when a norm vanishes).  The
-    # residual product is divided by ||u||*||i||, the data scale, not by the
-    # residual norm: an exactly interpolated cloud leaves a pure-roundoff
-    # residual whose own norm would make the quotient meaningless.
-    residual_dot_i_normalized: float
-    ones_dot_i_normalized: float
-    ones_dot_u_normalized: float
+# The *_normalized fields are the same dot products made scale-free (0.0 when a
+# norm vanishes).  The residual product is divided by ||u||*||i||, the data scale,
+# not by the residual norm: an exactly interpolated cloud leaves a pure-roundoff
+# residual whose own norm would make the quotient meaningless.
+DiagnosticsReport = namedtuple("DiagnosticsReport", "residual sse residual_dot_i ones_dot_i "
+                               "ones_dot_u residual_dot_i_normalized ones_dot_i_normalized "
+                               "ones_dot_u_normalized")
 
 
 def residuals(fit_result: FitResult) -> Sequence[float]:

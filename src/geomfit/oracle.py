@@ -31,10 +31,9 @@ deviations overflow float64 raise :class:`ObjectiveOverflow`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, inf
 
-from .cloud import PointCloud, finite
+from .cloud import Frozen, PointCloud, finite
 from .errors import BoxTooSmall, ObjectiveOverflow
 
 __all__ = ["SearchBox", "sse_of", "grid_search_fit", "default_box"]
@@ -47,18 +46,15 @@ _UNIT_ROUNDOFF = 2.0**-53
 _OBJECTIVE = "the sum of squared deviations"
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(Frozen):
     """Bounds in the (slope a, intercept b) plane; the grid size and round count are fixed."""
 
-    a_min: float
-    a_max: float
-    b_min: float
-    b_max: float
+    _fields = ("a_min", "a_max", "b_min", "b_max")
 
-    def __post_init__(self):
-        if not (self.a_min < self.a_max and self.b_min < self.b_max):
+    def __init__(self, a_min: float, a_max: float, b_min: float, b_max: float):
+        if not (a_min < a_max and b_min < b_max):
             raise ValueError("box bounds must satisfy min < max on both axes")
+        self._set(a_min, a_max, b_min, b_max)
 
 
 def default_box(a_seed: float, b_seed: float) -> SearchBox:

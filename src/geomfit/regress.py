@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
-from .cloud import CenteredCloud, PointCloud, center, finite, finite_fsum, minus_scaled, products
+from .cloud import (CenteredCloud, Frozen, PointCloud, center, extrema, finite, finite_fsum,
+                    minus_scaled, products)
 from .errors import DegenerateX, TooFewPoints
 
 __all__ = ["FitResult", "fit", "predict"]
@@ -24,14 +24,14 @@ __all__ = ["FitResult", "fit", "predict"]
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted line y = slope * x + intercept, with the centered cloud
+class FitResult(Frozen):
+    """Fitted line y = ``slope`` * x + ``intercept``, with the ``centered`` cloud
     retained for diagnostics."""
 
-    slope: float
-    intercept: float
-    centered: CenteredCloud
+    _fields = ("slope", "intercept", "centered")
+
+    def __init__(self, slope: float, intercept: float, centered: CenteredCloud):
+        self._set(slope, intercept, centered)
 
     @cached_property
     def residual(self) -> Sequence[float]:
@@ -56,7 +56,7 @@ def _degenerate_x(c: CenteredCloud) -> bool:
     n_eps, bound = len(c) * _EPS, (abs(c.centroid_x) + math.sqrt(c.sxx)) * (1.0 + 2.0**-40)
     if c.sxx > n_eps * max(1.0, bound * bound):
         return False
-    max_x = float(max(abs(c.centroid_x + min(c.i_vec)), abs(c.centroid_x + max(c.i_vec))))
+    max_x = max(abs(c.centroid_x + v) for v in extrema(c.i_vec))
     if math.isinf(max_x * max_x):
         return c.sxx / max_x <= n_eps * max_x
     return c.sxx <= n_eps * max(1.0, max_x * max_x)

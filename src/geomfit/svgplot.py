@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .cloud import PointCloud, finite
 from .regress import FitResult, predict
@@ -43,16 +43,10 @@ def size_ok(size: float) -> bool:
     return MIN_SIZE_PX <= size <= MAX_SIZE_PX
 
 
-@dataclass(frozen=True)
-class PlotFrame:
+class PlotFrame(namedtuple("PlotFrame", "width height x_lo x_hi y_lo y_hi")):
     """Affine map between data coordinates and pixel coordinates."""
 
-    width: float
-    height: float
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
+    __slots__ = ()
 
     @property
     def plot_width(self) -> float:

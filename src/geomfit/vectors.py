@@ -9,23 +9,21 @@ magnitudes span several decades.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .cloud import finite_column
+from .cloud import Frozen, finite_column
 from .errors import DimensionMismatch
 
 __all__ = ["Vector", "dot", "norm_sq", "norm"]
 
 
-@dataclass(frozen=True)
-class Vector:
-    """Ordered tuple of n >= 1 finite real components."""
+class Vector(Frozen):
+    """Ordered tuple of n >= 1 finite real ``components``."""
 
-    components: tuple[float, ...]
+    _fields = ("components",)
 
     def __init__(self, components: Iterable[float]):
-        object.__setattr__(self, "components", tuple(map(float, finite_column(components))))
+        self._set(tuple(map(float, finite_column(components))))
 
     def __len__(self) -> int:
         return len(self.components)

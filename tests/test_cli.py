@@ -405,6 +405,27 @@ def _fresh_run(*command: str) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_text_fit_loads_no_dataclasses_json_or_resources(tmp_path):
+    # A cold text fit is mostly start-up: it loads none of the modules that only a
+    # JSON report or `examples` needs.  -S runs without site, so no .pth file can
+    # preload one of them and hide an import.
+    csv = tmp_path / "example1_amarante.csv"
+    csv.write_text(example_csv_text("example1_amarante.csv"), encoding="utf-8")
+    script = f"""
+import sys
+from geomfit.cli import run
+assert run(["fit", "--input", {str(csv)!r}]) == 0
+unwanted = {{"dataclasses", "json", "importlib.resources"}} & set(sys.modules)
+assert not unwanted, sorted(unwanted)
+assert run(["fit", "--input", {str(csv)!r}, "--format", "json",
+            "--output", {str(tmp_path / "report.json")!r}]) == 0
+assert "json" in sys.modules, "a JSON report ran without json"
+"""
+    code, out, err = _fresh_run("-S", "-c", script)
+    assert (code, err) == (0, "")
+    assert out == render_report(build_report(geomfit.dataio.load_example("example1_amarante.csv")))
+
+
 def test_star_import_without_numpy():
     # numpy is an optional extra: the star import must not touch the estimator.
     script = """

@@ -1,11 +1,15 @@
 """The package namespace: the names the README documents, the names the
-acceptance suite imports, and the error classes; and every name the
-benchmark's tracer wraps still resolves."""
+acceptance suite imports, and the error classes; the plain classes' read-only
+attributes, reprs and copies; and every name the benchmark's tracer wraps still resolves."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import geomfit
 
@@ -53,3 +57,26 @@ def test_every_traced_layer_resolves(monkeypatch):
     # The CLI streams its SVG through svg_chunks and no longer imports render_svg,
     # so the wrap of geomfit.cli.render_svg finds nothing; no other layer may go.
     assert set(tr.absent()) <= {"svgplot.render_svg"}
+
+
+def test_plain_classes_are_read_only_print_their_fields_and_copy():
+    from geomfit.dataio import DatasetSpec
+    from geomfit.vectors import Vector
+
+    box = geomfit.SearchBox(0.0, 1.0, -2.0, 2.0)
+    assert repr(box) == "SearchBox(a_min=0.0, a_max=1.0, b_min=-2.0, b_max=2.0)"
+    assert repr(DatasetSpec()) == "DatasetSpec(delimiter=',', has_header=None, x_col=0, y_col=1)"
+    cloud = geomfit.PointCloud([1, 3], [2, 2])
+    f = geomfit.fit(cloud)
+    assert repr(f) == (
+        "FitResult(slope=0.0, intercept=2.0, centered=CenteredCloud(centroid_x=2.0, "
+        "centroid_y=2.0, i_vec=[-1.0, 1.0], u_vec=[0.0, 0.0]))")
+    for obj, name in [(box, "a_min"), (DatasetSpec(), "delimiter"), (cloud, "xs"),
+                      (f, "slope"), (f.centered, "i_vec"), (Vector([1.0]), "components")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is not None
+        for copied in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(copied) is type(obj) and repr(copied) == repr(obj)
