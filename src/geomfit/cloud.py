@@ -15,6 +15,7 @@ same bits.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import mul
@@ -28,6 +29,7 @@ __all__ = ["PointCloud", "CenteredCloud", "centroid", "center", "finite", "finit
 # 2 * (1 + sqrt(n)) * 2**400: their products stay far below 2**1024, so numpy never warns
 # and only an fsum can overflow, raising ObjectiveOverflow as on lists.
 _ARRAY_LIMIT = 2.0**400
+_EPS = sys.float_info.epsilon
 
 
 def finite(value: float, what: str) -> float:
@@ -181,3 +183,21 @@ def center(cloud: PointCloud) -> CenteredCloud:
     """Translate the cloud so its center of mass lands at the origin."""
     x_bar, y_bar = centroid(cloud)
     return CenteredCloud(x_bar, y_bar, _deviations(cloud.xs, x_bar), _deviations(cloud.ys, y_bar))
+
+
+def _degenerate_x(c: CenteredCloud) -> bool:
+    # Treat a squared spread at roundoff scale as zero rather than dividing by it
+    # and returning an enormous slope or a spurious angle.  Rounding is monotonic, so the
+    # largest |x_bar + i| sits at the smallest or the largest i.  No |i| tops
+    # sqrt(Sxx), so a spread above the cutoff of |x_bar| + sqrt(Sxx), widened
+    # past its roundings, is above the exact cutoff too and skips that scan.
+    # Where max_x**2 overflows (max_x above about 1.34e154, so a cloud of lists), the
+    # cutoff would be inf and refuse every cloud, so Sxx / max_x is compared with
+    # n*eps*max_x, which stays finite and within two roundings.
+    n_eps, bound = len(c) * _EPS, (abs(c.centroid_x) + math.sqrt(c.sxx)) * (1.0 + 2.0**-40)
+    if c.sxx > n_eps * max(1.0, bound * bound):
+        return False
+    max_x = max(abs(c.centroid_x + v) for v in extrema(c.i_vec))
+    if math.isinf(max_x * max_x):
+        return c.sxx / max_x <= n_eps * max_x
+    return c.sxx <= n_eps * max(1.0, max_x * max_x)

@@ -14,7 +14,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .cloud import CenteredCloud, PointCloud, finite, finite_fsum
+from .cloud import CenteredCloud, PointCloud, _degenerate_x, finite, finite_fsum
 from .errors import DegenerateX, DegenerateY
 
 __all__ = [
@@ -43,10 +43,10 @@ CorrelationResult = namedtuple("CorrelationResult", "theta_deg r cls")
 
 
 def r_cosine(c: CenteredCloud) -> float:
-    """Correlation coefficient as the cosine of the angle between u and i."""
+    """Cosine of the angle between u and i; DegenerateX on the x columns ``fit`` refuses."""
     ni = math.sqrt(c.sxx)
     nu = math.sqrt(c.syy)
-    if ni == 0.0:
+    if _degenerate_x(c):
         raise DegenerateX("all x values coincide; correlation angle undefined")
     if nu == 0.0:
         raise DegenerateY("all y values coincide; correlation angle undefined")

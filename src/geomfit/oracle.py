@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import fsum, inf
 
-from .cloud import Frozen, PointCloud, finite
+from .cloud import Frozen, PointCloud, finite, finite_fsum
 from .errors import BoxTooSmall, ObjectiveOverflow
 
 __all__ = ["SearchBox", "sse_of", "grid_search_fit", "default_box"]
@@ -66,7 +66,7 @@ def default_box(a_seed: float, b_seed: float) -> SearchBox:
 
 def sse_of(cloud: PointCloud, a: float, b: float) -> float:
     """Sum of squared deviations from the line y = a*x + b, from raw data."""
-    return fsum((y - a * x - b) ** 2 for x, y in zip(*cloud.as_lists()))
+    return finite_fsum(((y - a * x - b) ** 2 for x, y in zip(*cloud.as_lists())), _OBJECTIVE)
 
 
 def _parabola_vertex(f, x0: float, h: float) -> float:

@@ -10,18 +10,14 @@ float64 raises :class:`ObjectiveOverflow`.
 
 from __future__ import annotations
 
-import math
-import sys
 from collections.abc import Sequence
 from functools import cached_property
 
-from .cloud import (CenteredCloud, Frozen, PointCloud, center, extrema, finite, finite_fsum,
-                    minus_scaled, products)
+from .cloud import (CenteredCloud, Frozen, PointCloud, _degenerate_x, center, finite,
+                    finite_fsum, minus_scaled, products)
 from .errors import DegenerateX, TooFewPoints
 
 __all__ = ["FitResult", "fit", "predict"]
-
-_EPS = sys.float_info.epsilon
 
 
 class FitResult(Frozen):
@@ -42,24 +38,6 @@ class FitResult(Frozen):
     def sse(self) -> float:
         """Sum of squared residuals."""
         return finite_fsum(products(self.residual, self.residual), "the sum of squared residuals")
-
-
-def _degenerate_x(c: CenteredCloud) -> bool:
-    # Treat a squared spread at roundoff scale as zero rather than dividing
-    # by it and returning an enormous slope.  Rounding is monotonic, so the
-    # largest |x_bar + i| sits at the smallest or the largest i.  No |i| tops
-    # sqrt(Sxx), so a spread above the cutoff of |x_bar| + sqrt(Sxx), widened
-    # past its roundings, is above the exact cutoff too and skips that scan.
-    # Where max_x**2 overflows (max_x above about 1.34e154, so a cloud of lists), the
-    # cutoff would be inf and refuse every cloud, so Sxx / max_x is compared with
-    # n*eps*max_x, which stays finite and within two roundings.
-    n_eps, bound = len(c) * _EPS, (abs(c.centroid_x) + math.sqrt(c.sxx)) * (1.0 + 2.0**-40)
-    if c.sxx > n_eps * max(1.0, bound * bound):
-        return False
-    max_x = max(abs(c.centroid_x + v) for v in extrema(c.i_vec))
-    if math.isinf(max_x * max_x):
-        return c.sxx / max_x <= n_eps * max_x
-    return c.sxx <= n_eps * max(1.0, max_x * max_x)
 
 
 def fit(cloud: PointCloud) -> FitResult:

@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .cloud import PointCloud, finite
+from .cloud import PointCloud, extrema, finite
 from .regress import FitResult, predict
 
 __all__ = ["MIN_SIZE_PX", "MAX_SIZE_PX", "PlotFrame", "plot_frame", "render_svg", "size_ok",
@@ -89,8 +89,8 @@ def _frame(xs: list[float], ys: list[float], fit_result: FitResult, width: float
     """
     if not (size_ok(width) and size_ok(height)):
         raise ValueError(f"width and height must be between {MIN_SIZE_PX} and {MAX_SIZE_PX:g} px")
-    extrema = min(xs), max(xs), min(ys), max(ys)
-    x_min, x_max, y_min, y_max = extrema
+    bounds = (*extrema(xs), *extrema(ys))
+    x_min, x_max, y_min, y_max = bounds
     x_span = x_max - x_min
     x_pad = _PAD_FRACTION * x_span if x_span > 0 else 1.0
     x_lo, x_hi = x_min - x_pad, x_max + x_pad
@@ -102,7 +102,7 @@ def _frame(xs: list[float], ys: list[float], fit_result: FitResult, width: float
     y_pad = _PAD_FRACTION * y_span if y_span > 0 else max(1.0, math.ulp(y_max))
     y_lo, y_hi = y_min - y_pad, y_max + y_pad
     finite(y_hi - y_lo, "the plot's y range")
-    return PlotFrame(float(width), float(height), x_lo, x_hi, y_lo, y_hi), extrema, line_ys
+    return PlotFrame(float(width), float(height), x_lo, x_hi, y_lo, y_hi), bounds, line_ys
 
 
 def svg_chunks(cloud: PointCloud, fit_result: FitResult, width: int = 640, height: int = 480

@@ -3,7 +3,7 @@
 Vectors are immutable tuples of finite floats.  Dot products and squared
 norms accumulate through :func:`math.fsum`, which tracks rounding error
 exactly, so results are independent of component order even when component
-magnitudes span several decades.
+magnitudes span several decades; an overflowing sum raises ObjectiveOverflow.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-from .cloud import Frozen, finite_column
+from .cloud import Frozen, finite_column, finite_fsum, products
 from .errors import DimensionMismatch
 
 __all__ = ["Vector", "dot", "norm_sq", "norm"]
@@ -39,12 +39,12 @@ def dot(a: Vector, b: Vector) -> float:
     """Sum of products of corresponding components, compensated."""
     if len(a) != len(b):
         raise DimensionMismatch(len(a), len(b))
-    return math.fsum(x * y for x, y in zip(a, b))
+    return finite_fsum(products(a, b), "the dot product")
 
 
 def norm_sq(a: Vector) -> float:
     """Squared norm (quadrance) of ``a``; always >= 0."""
-    return math.fsum(x * x for x in a)
+    return finite_fsum(products(a, a), "the squared norm")
 
 
 def norm(a: Vector) -> float:

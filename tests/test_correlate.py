@@ -36,8 +36,12 @@ class TestTheta:
         assert theta(center(cloud)) == pytest.approx(0.0, abs=1e-5)
 
     def test_degenerate_x(self):
-        with pytest.raises(DegenerateX):
-            theta(center(PointCloud.from_columns([3, 3], [1, 2])))
+        # fit's rule: the 0.1s center to -1.4e-17 each, not 0, and fit refuses them too.
+        for xs, ys in (([3, 3], [1, 2]), ([0.1] * 3, [1, 2, 3])):
+            c = center(PointCloud.from_columns(xs, ys))
+            for fn in (theta, r_cosine, correlate):
+                with pytest.raises(DegenerateX):
+                    fn(c)
 
     def test_degenerate_y(self):
         with pytest.raises(DegenerateY):

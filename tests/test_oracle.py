@@ -45,6 +45,11 @@ class TestSseOf:
         f = fit(ex1_cloud)
         assert sse_of(ex1_cloud, f.slope, f.intercept) == pytest.approx(sse(f), rel=1e-9)
 
+    def test_overflow_raises(self):
+        # Not the OverflowError that ** raises on a square above float64.
+        with pytest.raises(ObjectiveOverflow, match="^the sum of squared deviations overflows"):
+            sse_of(PointCloud([0, 1], [0, 1]), 1e200, 0.0)
+
 
 class TestSearchBox:
     def test_invalid_bounds(self):

@@ -1,7 +1,9 @@
 """The package namespace: the names the README documents, the names the
 acceptance suite imports, and the error classes; the plain classes' read-only
-attributes, reprs and copies; and every name the benchmark's tracer wraps still resolves."""
+attributes, reprs and copies; every name the benchmark's tracer wraps still resolves; and
+which modules call ``fsum`` directly."""
 
+import ast
 import copy
 import os
 import pickle
@@ -80,3 +82,15 @@ def test_plain_classes_are_read_only_print_their_fields_and_copy():
         assert getattr(obj, name) is not None
         for copied in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert type(copied) is type(obj) and repr(copied) == repr(obj)
+
+
+def test_only_cloud_and_oracle_call_fsum():
+    # Every other sum goes through cloud.finite_fsum, which names the sum that overflows;
+    # the oracle keeps its own calls, which the benchmark's tracer counts.
+    callers = set()
+    for path in sorted((_ROOT / "src" / "geomfit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "fsum":
+                callers.add(path.name)
+    assert sorted(callers - {"cloud.py", "oracle.py"}) == []

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomfit.cloud import center
-from geomfit.errors import DimensionMismatch
+from geomfit.errors import DimensionMismatch, ObjectiveOverflow
 from geomfit.vectors import Vector, dot, norm, norm_sq
 
 from conftest import EX1, EX2
@@ -89,6 +89,15 @@ class TestNorms:
         c = center(ex1_cloud)
         assert norm(c.u_vec) == pytest.approx(EX1["norm_u"], abs=1e-3)
         assert norm(c.i_vec) == pytest.approx(EX1["norm_i"], abs=1e-3)
+
+    @pytest.mark.parametrize("fn, args, what", [
+        (dot, (Vector([1e308, 1e308]), Vector([1, 1])), "the dot product"),  # fsum's own overflow
+        (norm_sq, (Vector([1e200]),), "the squared norm"),  # an inf term
+        (norm, (Vector([1e200]),), "the squared norm"),
+    ], ids=["dot", "norm_sq", "norm"])
+    def test_overflow_raises(self, fn, args, what):
+        with pytest.raises(ObjectiveOverflow, match=f"^{what} overflows float64$"):
+            fn(*args)
 
 
 class TestSubScaleOnes:
